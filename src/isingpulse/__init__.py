@@ -39,13 +39,11 @@ from .hamiltonian import (
     build_rot_ham,
     chaos_border,
     fake_transitions,
-    h0_energy,
+    h0_energy_table,
     single_flip_deltas,
 )
 from .pert import (
     BlockPartition,
-    TwoLevelBlock,
-    block_evolve,
     epsilon_param,
     eta_param,
     partition_blocks,
@@ -81,8 +79,6 @@ __all__ = [
     "RotFrameHam",
     "SpinChainError",
     "StateVector",
-    "TwoLevelBlock",
-    "block_evolve",
     "build_entanglement_protocol",
     "build_ideal_state",
     "build_rot_ham",
@@ -97,7 +93,7 @@ __all__ = [
     "format_state_table",
     "from_rotating",
     "ground_state",
-    "h0_energy",
+    "h0_energy_table",
     "partition_blocks",
     "predicted_fidelity",
     "propagate_pulse",

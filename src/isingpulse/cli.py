@@ -74,53 +74,31 @@ def _read_config(path: str) -> dict[str, str]:
     return values
 
 
-_CONFIG_KEYS = {
-    "L": ("L", int),
-    "J": ("J", float),
-    "a": ("a", float),
-    "omega": ("omega", float),
-    "omega0": ("omega0", float),
-    "param": ("param", str),
-    "from": ("lo", float),
-    "to": ("hi", float),
-    "steps": ("steps", int),
-    "propagator": ("propagator", str),
-    "order": ("order", str),
-    "workers": ("workers", int),
-}
-
-# Static argparse defaults, used to tell "left alone" from "set on the line".
-_DEFAULTS = {
-    "L": 6,
-    "J": 1.0,
-    "a": 100.0,
-    "omega": 0.118,
-    "omega0": 0.0,
-    "param": "J",
-    "lo": None,
-    "hi": None,
-    "steps": 2,
-    "propagator": "exact",
-    "order": ORDER_BLOCK,
-    "workers": 1,
-}
+# Config keys; each value is parsed as the flag --<key>.
+_CONFIG_KEYS = ("L", "J", "a", "omega", "omega0", "param", "from", "to", "steps",
+                "propagator", "order", "workers")
+_CONFIG_DEST = {"from": "lo", "to": "hi"}
 
 
-def _apply_config(args: argparse.Namespace) -> None:
+def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """Parse argv; a --config file's values are parsed as flags placed ahead
+    of the command line's, so they pass the same checks and the command line
+    wins."""
+    args = parser.parse_args(argv)
     if not getattr(args, "config", None):
-        return
+        return args
+    flags = []
     for key, raw in _read_config(args.config).items():
         if key not in _CONFIG_KEYS:
             raise _UsageError(f"unknown config key {key!r}")
-        dest, cast = _CONFIG_KEYS[key]
-        if not hasattr(args, dest):
-            continue
-        # Command line wins: only fill values the user left at their default.
-        if getattr(args, dest) == _DEFAULTS.get(dest):
-            try:
-                setattr(args, dest, cast(raw))
-            except ValueError as exc:
-                raise _UsageError(f"config key {key}={raw!r}: {exc}") from exc
+        if hasattr(args, _CONFIG_DEST.get(key, key)):
+            flags.append(f"--{key}={raw}")
+    # argv[0] is the subcommand: the top-level parser has no options.  The
+    # command line parsed cleanly above, so an error here comes from the file.
+    try:
+        return parser.parse_args(argv[:1] + flags + argv[1:])
+    except _UsageError as exc:
+        raise _UsageError(f"{args.config}: {exc}") from exc
 
 
 def _chain(args) -> ChainParams:
@@ -294,9 +272,7 @@ def fit_fidelity_slope(params_list, fs):
 
 
 def cmd_slope(args) -> int:
-    lo = 4 if args.lo is None else int(args.lo)
-    hi = 10 if args.hi is None else int(args.hi)
-    ls = list(range(lo, hi + 1))
+    ls = list(range(args.lo, args.hi + 1))
     if len(ls) < 3:
         raise _UsageError("slope fit needs at least 3 chain lengths")
     plist, fs = [], []
@@ -404,10 +380,10 @@ def make_parser() -> _Parser:
 
     p_slope = sub.add_parser("slope", help="fit fidelity vs chain length")
     _add_model_args(p_slope)
-    p_slope.add_argument("--from", dest="lo", type=float, default=None,
-                         help="smallest chain length (default 4)")
-    p_slope.add_argument("--to", dest="hi", type=float, default=None,
-                         help="largest chain length (default 10)")
+    p_slope.add_argument("--from", dest="lo", type=int, default=4,
+                         help="smallest chain length")
+    p_slope.add_argument("--to", dest="hi", type=int, default=10,
+                         help="largest chain length")
     p_slope.set_defaults(func=cmd_slope)
 
     p_chaos = sub.add_parser("chaos", help="chaos-border estimate")
@@ -429,8 +405,7 @@ def make_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = make_parser()
     try:
-        args = parser.parse_args(argv)
-        _apply_config(args)
+        args = _parse(parser, sys.argv[1:] if argv is None else list(argv))
         return args.func(args)
     except _UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")

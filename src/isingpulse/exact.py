@@ -63,55 +63,45 @@ class PulsePropagator:
         v = self.eigenvectors
         return v @ (np.exp(-1j * self.eigenvalues * tau) * (v.conj().T @ amps))
 
-    def unitarity_defect(self, tau: float, n_samples: int = 8) -> float:
-        """Max deviation of sampled columns of U from unit norm and of
-        sampled column pairs from orthogonality."""
-        n = self.eigenvalues.shape[0]
-        cols = np.linspace(0, n - 1, min(n_samples, n)).astype(int)
-        basis = np.zeros((n, len(cols)), dtype=complex)
-        basis[cols, np.arange(len(cols))] = 1.0
-        u = np.column_stack([self.apply(basis[:, i], tau) for i in range(len(cols))])
-        gram = u.conj().T @ u
-        return float(np.max(np.abs(gram - np.eye(len(cols)))))
 
-
-def _propagator(
-    p: ChainParams, pulse: Pulse, cache: dict | None
-) -> PulsePropagator:
-    if cache is None:
-        return PulsePropagator.build(build_rot_ham(p, pulse))
-    key = (pulse.nu, pulse.Omega, pulse.phi, p)
-    prop = cache.get(key)
-    if prop is None:
-        prop = cache[key] = PulsePropagator.build(build_rot_ham(p, pulse))
-    return prop
-
-
-def propagate_pulse(
-    psi: StateVector,
-    pulse: Pulse,
-    p: ChainParams,
-    cache: dict | None = None,
-) -> StateVector:
-    """Evolve a lab-frame state through one pulse.
-
-    The state's clock must sit at the pulse start.  Returns the lab-frame
-    state at the pulse end; norm conservation is enforced to 1e-10.
-    """
+def _dense_step(p: ChainParams):
+    """Exact pulse step; pulses with equal (nu, Omega, phi) share one
+    eigensystem for the lifetime of the step."""
     if p.L > MAX_QUBITS_DENSE:
         raise CapacityError(
             f"L={p.L} exceeds the dense-propagator cap {MAX_QUBITS_DENSE}"
         )
+    cache: dict = {}
+
+    def step(amps: np.ndarray, pulse: Pulse) -> np.ndarray:
+        key = (pulse.nu, pulse.Omega, pulse.phi)
+        prop = cache.get(key)
+        if prop is None:
+            prop = cache[key] = PulsePropagator.build(build_rot_ham(p, pulse))
+        return prop.apply(amps, pulse.duration)
+
+    return step
+
+
+def propagate_pulse(
+    psi: StateVector, pulse: Pulse, p: ChainParams, step=None
+) -> StateVector:
+    """Evolve a lab-frame state through one pulse.
+
+    The state's clock must sit at the pulse start.  ``step(amps, pulse)``
+    evolves rotating-frame amplitudes over the pulse; it defaults to the
+    exact dense step.  Returns the lab-frame state at the pulse end;
+    norm conservation is enforced to 1e-10.
+    """
+    if step is None:
+        step = _dense_step(p)
     if abs(psi.time - pulse.t_start) > 1e-9 * (1.0 + abs(pulse.t_start)):
         raise FrameError(
             f"state clock {psi.time} does not match pulse start {pulse.t_start}"
         )
     rot = to_rotating(psi, pulse.nu, pulse.t_start)
-    prop = _propagator(p, pulse, cache)
     evolved = StateVector(
-        prop.apply(rot.amplitudes, pulse.duration),
-        time=pulse.t_end,
-        rot_nu=pulse.nu,
+        step(rot.amplitudes, pulse), time=pulse.t_end, rot_nu=pulse.nu
     )
     out = from_rotating(evolved, pulse.nu, pulse.t_end)
     if abs(out.norm() - 1.0) > NORM_TOL:
@@ -121,10 +111,15 @@ def propagate_pulse(
     return out
 
 
+def propagate_protocol(psi0: StateVector, prot: Protocol, step) -> StateVector:
+    """Run every pulse of a protocol through :func:`propagate_pulse` with
+    one route's ``step``."""
+    psi = psi0
+    for pulse in prot.pulses:
+        psi = propagate_pulse(psi, pulse, prot.params, step)
+    return psi
+
+
 def run_protocol(psi0: StateVector, prot: Protocol) -> StateVector:
     """Sequential exact propagation through every pulse of a protocol."""
-    psi = psi0
-    cache: dict = {}
-    for pulse in prot.pulses:
-        psi = propagate_pulse(psi, pulse, prot.params, cache)
-    return psi
+    return propagate_protocol(psi0, prot, _dense_step(prot.params))

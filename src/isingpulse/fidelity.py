@@ -1,9 +1,10 @@
 """Ideal target state, overlap fidelity, and the analytic fidelity model.
 
-The ideal state is defined operationally: run the block propagator but let
-only the intended transition of each pulse act in full, while every other
-block contributes its diagonal phases with the amplitude magnitudes kept
-(near-resonant leakage zeroed).  The result has weight 1/sqrt(2) on each of
+The ideal state is defined operationally: run the block step, through the
+pulse driver shared with the other routes, but let only the intended
+transition of each pulse act in full, while every other block contributes
+its diagonal phases with the amplitude magnitudes kept (near-resonant
+leakage zeroed).  The result has weight 1/sqrt(2) on each of
 |0...0> and the end-to-end excited string, with the phase bookkeeping that
 the pulse sequence itself implies.
 """
@@ -17,11 +18,13 @@ import numpy as np
 
 from .basis import StateVector, ground_state
 from .errors import FrameError, NumericalError, ProtocolError
-from .exact import from_rotating, run_protocol, to_rotating
+# Unused frame transforms stay imported: bench/tracing.py patches them here.
+from .exact import from_rotating, propagate_protocol, run_protocol, to_rotating  # noqa: F401
 from .pert import ORDER_BLOCK, _block_u, partition_blocks, run_protocol_pert
 from .protocol import (
     ENTANGLE_KIND,
     Protocol,
+    Pulse,
     build_entanglement_protocol,
     spectator_detunings,
 )
@@ -41,41 +44,40 @@ def dynamical_fidelity(psi_i: StateVector, psi_r: StateVector) -> float:
     return float(abs(np.vdot(psi_i.amplitudes, psi_r.amplitudes)) ** 2)
 
 
-def build_ideal_state(prot: Protocol, *, threshold: float | None = None) -> StateVector:
+def build_ideal_state(prot: Protocol) -> StateVector:
     """Phase-corrected two-component target of the entanglement walk."""
     if prot.kind != ENTANGLE_KIND or any(pu.target is None for pu in prot.pulses):
         raise ProtocolError(
             "the ideal state is defined for the built-in entanglement walk"
         )
     p = prot.params
-    psi = ground_state(p.L)
-    for pulse in prot.pulses:
+
+    def step(amps: np.ndarray, pulse: Pulse) -> np.ndarray:
         src, k = pulse.target
         tgt = src.index ^ (1 << k)
         mm, pp = min(src.index, tgt), max(src.index, tgt)
-        part = partition_blocks(pulse, p, threshold=threshold)
-        rot = to_rotating(psi, pulse.nu, pulse.t_start)
-        amps = rot.amplitudes.copy()
+        part = partition_blocks(pulse, p)
+        out = amps.copy()
         tau = pulse.duration
         # Every block contributes phases only, magnitudes kept.
         u11, _, _, u22 = _block_u(
             pulse.Omega, part.delta, tau, part.e_rot[part.m_idx], part.e_rot[part.p_idx]
         )
-        amps[part.m_idx] = rot.amplitudes[part.m_idx] * np.exp(1j * np.angle(u11))
-        amps[part.p_idx] = rot.amplitudes[part.p_idx] * np.exp(1j * np.angle(u22))
+        out[part.m_idx] = amps[part.m_idx] * np.exp(1j * np.angle(u11))
+        out[part.p_idx] = amps[part.p_idx] * np.exp(1j * np.angle(u22))
         s = part.singletons
-        amps[s] = rot.amplitudes[s] * np.exp(-1j * part.e_rot[s] * tau)
+        out[s] = amps[s] * np.exp(-1j * part.e_rot[s] * tau)
         # The intended transition acts in full (resonant by construction).
         d = part.e_rot[pp] - part.e_rot[mm]
         v11, v12, v21, v22 = _block_u(
             pulse.Omega, d, tau, part.e_rot[mm], part.e_rot[pp]
         )
-        am, ap = rot.amplitudes[mm], rot.amplitudes[pp]
-        amps[mm] = v11 * am + v12 * ap
-        amps[pp] = v21 * am + v22 * ap
-        evolved = StateVector(amps, time=pulse.t_end, rot_nu=pulse.nu)
-        psi = from_rotating(evolved, pulse.nu, pulse.t_end)
-    return psi
+        am, ap = amps[mm], amps[pp]
+        out[mm] = v11 * am + v12 * ap
+        out[pp] = v21 * am + v22 * ap
+        return out
+
+    return propagate_protocol(ground_state(p.L), prot, step)
 
 
 def fidelity_minima_J(Omega: float, k: int) -> float:
@@ -149,20 +151,19 @@ def protocol_fidelity(
     propagator: str = "exact",
     order: str = ORDER_BLOCK,
     *,
-    threshold: float | None = None,
     mirror: bool = False,
 ) -> FidelityReport:
     """Build the walk, run the requested propagator(s), and score the result."""
     if propagator not in ("exact", "pert", "both"):
         raise ValueError(f"unknown propagator {propagator!r}")
     prot = build_entanglement_protocol(p, Omega, mirror=mirror)
-    psi_i = build_ideal_state(prot, threshold=threshold)
+    psi_i = build_ideal_state(prot)
     f_exact = f_pert = None
     if propagator in ("exact", "both"):
         psi_r = run_protocol(ground_state(p.L), prot)
         f_exact = dynamical_fidelity(psi_i, psi_r)
     if propagator in ("pert", "both"):
-        psi_p = run_protocol_pert(ground_state(p.L), prot, order, threshold=threshold)
+        psi_p = run_protocol_pert(ground_state(p.L), prot, order)
         f_pert = dynamical_fidelity(psi_i, psi_p)
     if f_exact is not None and not -1e-12 <= f_exact <= 1.0 + 1e-12:
         raise NumericalError(f"fidelity {f_exact} outside [0, 1]")

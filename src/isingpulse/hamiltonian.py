@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .basis import BasisState, spin_z, spin_z_column, total_spin_z
+from .basis import BasisState, spin_z_column, total_spin_z
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from .protocol import Pulse
@@ -54,23 +54,29 @@ class ChainParams:
         return self.omega0 + self.a * k
 
 
-def h0_energy(s: BasisState, p: ChainParams) -> float:
-    """Lab-frame energy of a basis state under the static Hamiltonian."""
-    e = 0.0
-    for k in range(p.L):
-        e -= p.omega(k) * spin_z(s, k)
-    for k in range(p.L - 1):
-        e -= 2.0 * p.J * spin_z(s, k) * spin_z(s, k + 1)
-    return e
+def h0_energy_table(p: ChainParams, idx=None) -> np.ndarray:
+    """Lab-frame static energies of the basis states ``idx`` (vectorized).
 
+    Without ``idx``, all 2^L states in index order.  A subset costs
+    O(L * len(idx)) and no 2^L array, and each entry is computed by the same
+    operations in the same order as in the full table, so it agrees with
+    the full table's entry bit for bit.
+    """
+    if idx is None:
+        def column(k):
+            return spin_z_column(p.L, k)
+        e = np.zeros(1 << p.L)
+    else:
+        # Indices of chains longer than int64 holds stay Python ints.
+        idx = np.asarray(idx, dtype=np.int64 if p.L < 63 else object)
 
-def h0_energy_table(p: ChainParams) -> np.ndarray:
-    """Lab-frame static energies of all 2^L basis states (vectorized)."""
-    e = np.zeros(1 << p.L)
+        def column(k):
+            return 0.5 - ((idx >> k) & 1).astype(float)
+        e = np.zeros(idx.shape)
     for k in range(p.L):
-        e -= p.omega(k) * spin_z_column(p.L, k)
+        e -= p.omega(k) * column(k)
     for k in range(p.L - 1):
-        e -= 2.0 * p.J * spin_z_column(p.L, k) * spin_z_column(p.L, k + 1)
+        e -= 2.0 * p.J * column(k) * column(k + 1)
     return e
 
 
@@ -89,9 +95,8 @@ def single_flip_deltas(s: BasisState, p: ChainParams) -> list[tuple[int, float]]
     Closed forms: a bulk spin gives |w_k +- 2J| or |w_k| depending on the
     neighbour configuration, a border spin gives |w_k +- J|.
     """
-    table = h0_energy_table(p)
-    e0 = table[s.index]
-    return [(k, float(abs(table[s.index ^ (1 << k)] - e0))) for k in range(p.L)]
+    e = h0_energy_table(p, [s.index] + [s.index ^ (1 << k) for k in range(p.L)])
+    return [(k, float(abs(e[1 + k] - e[0]))) for k in range(p.L)]
 
 
 @dataclass(frozen=True)

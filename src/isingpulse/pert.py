@@ -9,8 +9,9 @@ closed-form two-level amplitudes
     c_p(tau) = c_m(0) [i (Omega/l) sin(lt/2)]        e^{+i D tau/2 - i E_p tau}
 
 with l = sqrt(Omega^2 + D^2), extended to a full unitary 2x2 rotation for
-nonzero initial c_p; singletons evolve by their diagonal phase.  Frame
-transforms are applied exactly as in the exact propagator.
+nonzero initial c_p; singletons evolve by their diagonal phase.  The pulse
+loop, with its clock check, frame transforms and norm guard, is the exact
+propagator's: this module supplies only the per-pulse step.
 
 The first-order mode additionally dresses each pulse with the eigenstate
 corrections built from the left-over (non-resonant) coupling V:
@@ -32,9 +33,10 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .basis import BasisState, NORM_TOL, StateVector
-from .errors import NumericalError, PairingError
-from .exact import from_rotating, to_rotating
+from .basis import StateVector
+from .errors import PairingError
+# Unused frame transforms stay imported: bench/tracing.py patches them here.
+from .exact import from_rotating, propagate_protocol, to_rotating  # noqa: F401
 from .hamiltonian import ChainParams, rotating_energy_table
 from .protocol import Protocol, Pulse
 
@@ -93,31 +95,6 @@ def _block_u(Omega, Delta, tau, e_m, e_p):
     return u11, u12, u21, u22
 
 
-def block_evolve(block, c_m, c_p, tau, Omega, E_m, E_p):
-    """Closed-form two-level step on full lab-frame amplitudes.
-
-    ``block`` supplies the detuning; energies are the lab static energies of
-    the two states.  Exactly unitary for any inputs.
-    """
-    u11, u12, u21, u22 = _block_u(Omega, block.Delta, tau, E_m, E_p)
-    return u11 * c_m + u12 * c_p, u21 * c_m + u22 * c_p
-
-
-@dataclass(frozen=True)
-class TwoLevelBlock:
-    """A paired basis state and its single-flip partner for one pulse."""
-
-    m: BasisState
-    partner: BasisState
-    Delta: float
-    lam: float
-
-    def __post_init__(self):
-        diff = self.m.index ^ self.partner.index
-        if diff == 0 or diff & (diff - 1):
-            raise ValueError("block members must differ in exactly one bit")
-
-
 @dataclass(frozen=True)
 class BlockPartition:
     """Partition of the basis into two-level pairs and singletons.
@@ -129,7 +106,6 @@ class BlockPartition:
     """
 
     L: int
-    Omega: float
     m_idx: np.ndarray
     p_idx: np.ndarray
     delta: np.ndarray
@@ -137,22 +113,6 @@ class BlockPartition:
     e_rot: np.ndarray
     threshold: float
     n_conflicts: int
-
-    @property
-    def blocks(self) -> list[TwoLevelBlock]:
-        return [
-            TwoLevelBlock(
-                BasisState(int(m), self.L),
-                BasisState(int(p), self.L),
-                float(d),
-                float(np.hypot(self.Omega, d)),
-            )
-            for m, p, d in zip(self.m_idx, self.p_idx, self.delta)
-        ]
-
-    @property
-    def singleton_states(self) -> list[BasisState]:
-        return [BasisState(int(s), self.L) for s in self.singletons]
 
 
 def partition_blocks(
@@ -227,7 +187,6 @@ def partition_blocks(
 
     return BlockPartition(
         L=L,
-        Omega=pulse.Omega,
         m_idx=m_idx,
         p_idx=p_idx,
         delta=delta,
@@ -337,9 +296,7 @@ def run_protocol_pert(
     prot: Protocol,
     order: str = ORDER_BLOCK,
     *,
-    threshold: float | None = None,
     strict: bool = False,
-    degeneracy_tol: float | None = None,
 ) -> StateVector:
     """Propagate through a protocol with the block (or block+pt1) model.
 
@@ -349,36 +306,24 @@ def run_protocol_pert(
     if order not in (ORDER_BLOCK, ORDER_BLOCK_PT1):
         raise ValueError(f"unknown order {order!r}")
     p = prot.params
-    if degeneracy_tol is None:
-        degeneracy_tol = 1e-9 * max(p.a, 1.0)
-    psi = psi0
-    for pulse in prot.pulses:
-        part = partition_blocks(pulse, p, threshold=threshold, strict=strict)
-        rot = to_rotating(psi, pulse.nu, pulse.t_start)
-        amps = rot.amplitudes.copy()
+    degeneracy_tol = 1e-9 * max(p.a, 1.0)
+
+    def step(amps: np.ndarray, pulse: Pulse) -> np.ndarray:
+        part = partition_blocks(pulse, p, strict=strict)
         tau = pulse.duration
-        if order == ORDER_BLOCK:
-            if len(part.m_idx):
-                u11, u12, u21, u22 = _block_u(
-                    pulse.Omega,
-                    part.delta,
-                    tau,
-                    part.e_rot[part.m_idx],
-                    part.e_rot[part.p_idx],
-                )
-                cm = rot.amplitudes[part.m_idx]
-                cp = rot.amplitudes[part.p_idx]
-                amps[part.m_idx] = u11 * cm + u12 * cp
-                amps[part.p_idx] = u21 * cm + u22 * cp
-            s = part.singletons
-            amps[s] = rot.amplitudes[s] * np.exp(-1j * part.e_rot[s] * tau)
-        else:
+        if order == ORDER_BLOCK_PT1:
             _, eps, w, a = _pt1_dressing(part, pulse.Omega, degeneracy_tol)
-            amps = w @ _apply_pt1(w.T @ rot.amplitudes, eps, tau, a)
-        evolved = StateVector(amps, time=pulse.t_end, rot_nu=pulse.nu)
-        psi = from_rotating(evolved, pulse.nu, pulse.t_end)
-        if abs(psi.norm() - 1.0) > NORM_TOL:
-            raise NumericalError(
-                f"perturbative norm drifted to {psi.norm():.15f} at nu={pulse.nu}"
-            )
-    return psi
+            return w @ _apply_pt1(w.T @ amps, eps, tau, a)
+        out = amps.copy()
+        u11, u12, u21, u22 = _block_u(
+            pulse.Omega, part.delta, tau, part.e_rot[part.m_idx], part.e_rot[part.p_idx]
+        )
+        cm = amps[part.m_idx]
+        cp = amps[part.p_idx]
+        out[part.m_idx] = u11 * cm + u12 * cp
+        out[part.p_idx] = u21 * cm + u22 * cp
+        s = part.singletons
+        out[s] = amps[s] * np.exp(-1j * part.e_rot[s] * tau)
+        return out
+
+    return propagate_protocol(psi0, prot, step)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .basis import BasisState, flip
 from .errors import ProtocolError
-from .hamiltonian import ChainParams, fake_transitions, h0_energy
+from .hamiltonian import ChainParams, fake_transitions, h0_energy_table
 
 START_TIME_TOL = 1e-9
 
@@ -90,7 +90,8 @@ def resonance_frequency(s: BasisState, k: int, p: ChainParams) -> float:
     negative-energy transition the drive at |dE| is detuned from it by
     2|dE| and is resonant instead with any transition of energy +|dE|.
     """
-    return abs(h0_energy(flip(s, k), p) - h0_energy(s, p))
+    e_flip, e_s = h0_energy_table(p, [flip(s, k).index, s.index])
+    return float(abs(e_flip - e_s))
 
 
 def _walk_order(L: int, mirror: bool) -> list[int]:
@@ -128,23 +129,28 @@ def build_entanglement_protocol(
         raise ProtocolError(f"the entanglement walk needs L >= 3, got L={p.L}")
     if not Omega > 0:
         raise ValueError(f"Rabi frequency must be positive, got {Omega}")
+    order = _walk_order(p.L, mirror)
+    path = [BasisState(0, p.L)]
+    for k in order:
+        path.append(flip(path[-1], k))
+    # Pulse i is resonant with the step path[i] -> path[i+1], as in
+    # resonance_frequency; one vectorised call gives every energy of the walk.
+    energies = h0_energy_table(p, [s.index for s in path])
     pulses = []
     t = 0.0
-    branch = BasisState(0, p.L)
-    for i, k in enumerate(_walk_order(p.L, mirror)):
+    for i, k in enumerate(order):
         duration = math.pi / (2.0 * Omega) if i == 0 else math.pi / Omega
         pulses.append(
             Pulse(
-                nu=resonance_frequency(branch, k, p),
+                nu=float(abs(energies[i + 1] - energies[i])),
                 Omega=Omega,
                 phi=0.0,
                 duration=duration,
                 t_start=t,
-                target=(branch, k),
+                target=(path[i], k),
             )
         )
         t += duration
-        branch = flip(branch, k)
     return Protocol(pulses=tuple(pulses), params=p, kind=ENTANGLE_KIND)
 
 
@@ -166,14 +172,14 @@ def spectator_detunings(prot: Protocol) -> list[float]:
     minus the pulse frequency.  For the built-in walk this is 2J for every
     pulse except the single 4J one.
     """
-    zero = BasisState(0, prot.params.L)
-    e_zero = h0_energy(zero, prot.params)
+    # Energies of |0...0> and of its L single flips only: no 2^L table.
+    energies = h0_energy_table(prot.params, [0] + [1 << k for k in range(prot.params.L)])
     out = []
     for pu in prot.pulses[1:]:
         if pu.target is None:
             raise ProtocolError("spectator detunings need target annotations")
         _, k = pu.target
-        gap = h0_energy(flip(zero, k), prot.params) - e_zero
+        gap = float(energies[1 + k] - energies[0])
         out.append(gap - pu.nu)
     return out
 

@@ -256,3 +256,60 @@ def test_config_file_bad_key(tmp_path):
 def test_unknown_arguments_are_usage_errors():
     assert run_cli("run", "--nonsense", "1") == EXIT_USAGE
     assert run_cli("sweep", "--param", "phi") == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "config, argv, code, check",
+    [
+        # A flag given with its default value still beats the config file;
+        # check reads the output file.
+        pytest.param("L = 8\n", ["protocol-dump", "--L", "6"], EXIT_OK,
+                     lambda out: len(out.splitlines()) == 1 + 10,
+                     id="flag-at-default-beats-config"),
+        pytest.param("propagator = both\n",
+                     ["run", "--L", "4", "--propagator", "exact"], EXIT_OK,
+                     lambda out: "f_exact" in out and "f_pert" not in out,
+                     id="choice-at-default-beats-config"),
+        pytest.param("omega = 0.2\n", ["chaos", "--omega", "0.118"], EXIT_OK,
+                     lambda out: f"omega = {0.118:.17g}\n" in out,
+                     id="float-at-default-beats-config"),
+        # Config values pass the flags' choices and type checks, and the
+        # message names the file; check reads stderr.
+        pytest.param("propagator = bogus\n", ["run", "--L", "4"], EXIT_USAGE,
+                     lambda err: "cfg.txt: argument --propagator: invalid choice" in err,
+                     id="config-choice-checked"),
+        # Chain lengths are integers: no silent truncation, flag or config.
+        pytest.param("", ["slope", "--from", "4.7", "--to", "6"], EXIT_USAGE,
+                     lambda err: "error: argument --from: invalid int value" in err,
+                     id="slope-flag-lengths-are-integers"),
+        pytest.param("from = 4.7\n", ["slope", "--to", "6"], EXIT_USAGE,
+                     lambda err: "cfg.txt: argument --from: invalid int value" in err,
+                     id="slope-config-lengths-are-integers"),
+    ],
+)
+def test_command_line_wins_and_config_is_checked(
+    tmp_path, capsys, config, argv, code, check
+):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(config)
+    out = tmp_path / "out.txt"
+    assert run_cli(*argv, "--config", str(cfg), "--out", str(out)) == code
+    assert check(read(out) if code == EXIT_OK else capsys.readouterr().err)
+
+
+def test_large_chains_fail_per_point_not_at_compile(tmp_path):
+    # Compiling the walk needs no 2^L array: L = 21 reaches the state-vector
+    # cap and records it in its row, and L = 200 still compiles and dumps.
+    out = tmp_path / "s.csv"
+    assert run_cli(
+        "sweep", "--param", "L", "--values", "4,21", "--J", "1", "--a", "100",
+        "--omega", "0.118", "--propagator", "pert", "--out", str(out),
+    ) == EXIT_OK
+    rows = [line.split(",") for line in read(out).strip().splitlines()[1:]]
+    assert [r[5] for r in rows] == ["ok", "CapacityError"]
+    dump = tmp_path / "prot.txt"
+    assert run_cli(
+        "protocol-dump", "--L", "200", "--J", "1", "--a", "100",
+        "--omega", "0.118", "--out", str(dump),
+    ) == EXIT_OK
+    assert len(read(dump).strip().splitlines()) == 1 + 2 * 200 - 2

@@ -9,7 +9,6 @@ from isingpulse import (
     chaos_border,
     fake_transitions,
     flip,
-    h0_energy,
     single_flip_deltas,
     spin_z,
 )
@@ -26,7 +25,7 @@ def _pulse(nu, Omega, phi=0.0):
 def test_h0_energy_hand_value():
     # L=2, omega0=0, a=1, J=1 on |00>: -(0+1)/2 - 2*(1/4) = -1
     p = ChainParams(L=2, omega0=0.0, a=1.0, J=1.0)
-    assert h0_energy(BasisState(0, 2), p) == pytest.approx(-1.0, abs=1e-14)
+    assert h0_energy_table(p)[0] == pytest.approx(-1.0, abs=1e-14)
 
 
 def test_ising_part_is_flip_symmetric():
@@ -35,11 +34,9 @@ def test_ising_part_is_flip_symmetric():
     mask = (1 << L) - 1
     with_j = ChainParams(L=L, omega0=2.0, a=1.5, J=0.7)
     no_j = ChainParams(L=L, omega0=2.0, a=1.5, J=0.0)
+    ising = h0_energy_table(with_j) - h0_energy_table(no_j)
     for i in range(1 << L):
-        ising_s = h0_energy(BasisState(i, L), with_j) - h0_energy(BasisState(i, L), no_j)
-        j = i ^ mask
-        ising_m = h0_energy(BasisState(j, L), with_j) - h0_energy(BasisState(j, L), no_j)
-        assert ising_s == pytest.approx(ising_m, abs=1e-12)
+        assert ising[i] == pytest.approx(ising[i ^ mask], abs=1e-12)
 
 
 def test_zeeman_part_is_traceless():
@@ -48,10 +45,31 @@ def test_zeeman_part_is_traceless():
 
 
 def test_h0_table_matches_scalar():
+    # Each entry against the defining sum over one basis state's spins.
     p = ChainParams(L=4, omega0=1.3, a=0.9, J=0.4)
     table = h0_energy_table(p)
     for i in range(1 << 4):
-        assert table[i] == pytest.approx(h0_energy(BasisState(i, 4), p), abs=1e-12)
+        s = BasisState(i, 4)
+        e = -sum(p.omega(k) * spin_z(s, k) for k in range(4))
+        e -= 2.0 * p.J * sum(spin_z(s, k) * spin_z(s, k + 1) for k in range(3))
+        assert table[i] == pytest.approx(e, abs=1e-12)
+
+
+def test_h0_subset_matches_table_bit_for_bit():
+    p = ChainParams(L=9, omega0=0.3, a=7.0, J=1.3)
+    idx = [0, 5, 511, 256, 37, 5]
+    assert h0_energy_table(p, idx).tolist() == h0_energy_table(p)[idx].tolist()
+
+
+def test_h0_subset_beyond_int64_chains():
+    # No 2^70 table: only the two requested states are evaluated.  All spins
+    # +1/2 (index 0) or all -1/2: -/+ (sum of w_k)/2 - 2J (L-1)/4.
+    L, p = 70, ChainParams(L=70, omega0=0.0, a=1.0, J=0.5)
+    zeeman = sum(range(L)) / 2.0
+    ising = 2.0 * p.J * (L - 1) / 4.0
+    e = h0_energy_table(p, [0, (1 << L) - 1])
+    assert e[0] == pytest.approx(-zeeman - ising, abs=1e-9)
+    assert e[1] == pytest.approx(zeeman - ising, abs=1e-9)
 
 
 # ------------------------------------------------- single-flip deltas

@@ -6,10 +6,10 @@ import pytest
 from isingpulse import (
     BasisState,
     ChainParams,
+    FrameError,
     PairingError,
     Pulse,
-    TwoLevelBlock,
-    block_evolve,
+    StateVector,
     build_entanglement_protocol,
     epsilon_param,
     eta_param,
@@ -20,16 +20,16 @@ from isingpulse import (
     run_protocol_pert,
     two_pi_k_omega,
 )
-from isingpulse.pert import ORDER_BLOCK_PT1, default_threshold
+from isingpulse.pert import ORDER_BLOCK_PT1, _block_u, default_threshold
 from isingpulse.protocol import Protocol
 
 P6 = ChainParams(L=6, omega0=0.0, a=100.0, J=1.0)
 
 
-def _block(m, p, L, Delta, Omega):
-    return TwoLevelBlock(
-        BasisState(m, L), BasisState(p, L), Delta, float(np.hypot(Omega, Delta))
-    )
+def _block_evolve(Delta, c_m, c_p, tau, Omega, E_m, E_p):
+    """The block step's closed-form two-level rotation on one pair."""
+    u11, u12, u21, u22 = _block_u(Omega, Delta, tau, E_m, E_p)
+    return u11 * c_m + u12 * c_p, u21 * c_m + u22 * c_p
 
 
 # ------------------------------------------------------ partition
@@ -91,17 +91,19 @@ def test_partition_conflict_near_one_fifth_a():
 def test_partition_blocks_object_view():
     prot = build_entanglement_protocol(P6, 0.118)
     part = partition_blocks(prot.pulses[0], P6)
-    blocks = part.blocks
-    assert all(isinstance(b, TwoLevelBlock) for b in blocks)
-    b0 = next(b for b in blocks if b.m.index == 0)
-    assert b0.partner.index == 1
-    assert b0.lam == pytest.approx(np.hypot(0.118, b0.Delta))
-    assert len(blocks) + len(part.singleton_states) <= 1 << 6
+    i0 = int(np.flatnonzero(part.m_idx == 0)[0])
+    assert part.p_idx[i0] == 1
+    assert len(part.m_idx) == len(part.p_idx) == len(part.delta)
+    assert 2 * len(part.m_idx) + len(part.singletons) <= 1 << 6
 
 
 def test_two_level_block_validates_single_flip():
-    with pytest.raises(ValueError):
-        TwoLevelBlock(BasisState(0, 3), BasisState(3, 3), 0.0, 0.1)
+    # Every pair of every walk pulse differs in exactly one bit.
+    prot = build_entanglement_protocol(P6, 0.118)
+    for pu in prot.pulses:
+        part = partition_blocks(pu, P6)
+        diff = part.m_idx ^ part.p_idx
+        assert np.all(diff > 0) and np.all(diff & (diff - 1) == 0)
 
 
 # ------------------------------------------------------ block evolution
@@ -109,23 +111,20 @@ def test_two_level_block_validates_single_flip():
 
 def test_block_evolve_half_pulse_splits_evenly():
     Om = 0.2
-    blk = _block(0, 1, 3, 0.0, Om)
-    cm, cp = block_evolve(blk, 1.0, 0.0, math.pi / (2 * Om), Om, -1.0, 2.5)
+    cm, cp = _block_evolve(0.0, 1.0, 0.0, math.pi / (2 * Om), Om, -1.0, 2.5)
     assert abs(cm) ** 2 == pytest.approx(0.5, abs=1e-12)
     assert abs(cp) ** 2 == pytest.approx(0.5, abs=1e-12)
 
 
 def test_block_evolve_pi_pulse_transfers_fully():
     Om = 0.2
-    blk = _block(0, 1, 3, 0.0, Om)
-    cm, cp = block_evolve(blk, 1.0, 0.0, math.pi / Om, Om, 0.0, 0.0)
+    cm, cp = _block_evolve(0.0, 1.0, 0.0, math.pi / Om, Om, 0.0, 0.0)
     assert abs(cp) ** 2 == pytest.approx(1.0, abs=1e-12)
     assert cp == pytest.approx(1j, abs=1e-9)  # i sin(pi/2) phase
 
 
 def test_block_evolve_zero_drive_is_pure_phase():
-    blk = _block(0, 2, 3, 1.3, 0.0)
-    cm, cp = block_evolve(blk, 0.6 + 0.1j, 0.3j, 2.0, 0.0, 1.1, 2.4)
+    cm, cp = _block_evolve(1.3, 0.6 + 0.1j, 0.3j, 2.0, 0.0, 1.1, 2.4)
     assert abs(cm) == pytest.approx(abs(0.6 + 0.1j), abs=1e-12)
     assert abs(cp) == pytest.approx(0.3, abs=1e-12)
 
@@ -134,11 +133,11 @@ def test_block_evolve_is_unitary():
     rng = np.random.default_rng(5)
     for _ in range(50):
         Om = float(rng.uniform(0, 2))
-        blk = _block(0, 1, 2, float(rng.uniform(-3, 3)), Om)
+        Delta = float(rng.uniform(-3, 3))
         c = rng.normal(size=2) + 1j * rng.normal(size=2)
         c /= np.linalg.norm(c)
-        cm, cp = block_evolve(
-            blk, c[0], c[1], float(rng.uniform(0, 20)), Om,
+        cm, cp = _block_evolve(
+            Delta, c[0], c[1], float(rng.uniform(0, 20)), Om,
             float(rng.uniform(-5, 5)), float(rng.uniform(-5, 5)),
         )
         assert abs(cm) ** 2 + abs(cp) ** 2 == pytest.approx(1.0, abs=1e-12)
@@ -150,8 +149,7 @@ def test_block_evolve_consistent_with_epsilon():
         Om = float(rng.uniform(0.01, 1.5))
         Delta = float(rng.uniform(-4, 4))
         tau = float(rng.uniform(0, 30))
-        blk = _block(0, 1, 2, Delta, Om)
-        _, cp = block_evolve(blk, 1.0, 0.0, tau, Om, 0.7, -0.3)
+        _, cp = _block_evolve(Delta, 1.0, 0.0, tau, Om, 0.7, -0.3)
         assert abs(cp) ** 2 == pytest.approx(
             epsilon_param(Om, Delta, tau), abs=1e-12
         )
@@ -202,6 +200,16 @@ def test_first_pulse_only_gives_equal_superposition():
     assert probs[0] == pytest.approx(0.5, abs=1e-12)
     assert probs[1] == pytest.approx(0.5, abs=1e-12)
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_pert_route_checks_the_state_clock():
+    # The shared pulse driver refuses a state whose clock is not at the
+    # first pulse's start, as the exact route does.
+    prot = build_entanglement_protocol(P6, 0.118)
+    stale = StateVector(ground_state(6).amplitudes, time=5.0)
+    for order in ("block", ORDER_BLOCK_PT1):
+        with pytest.raises(FrameError):
+            run_protocol_pert(stale, prot, order)
 
 
 def test_zero_drive_protocol_is_identity_up_to_phase():

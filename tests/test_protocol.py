@@ -12,7 +12,6 @@ from isingpulse import (
     epsilon_param,
     flip,
     format_protocol_table,
-    h0_energy,
     resonance_frequency,
     single_flip_deltas,
     spectator_detunings,
