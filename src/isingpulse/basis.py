@@ -77,6 +77,23 @@ def total_spin_z(L: int) -> np.ndarray:
     return tot
 
 
+@lru_cache(maxsize=64)
+def excitation_count(L: int) -> np.ndarray:
+    """Vector of the number of excited qubits (set bits) of every basis
+    state; ``total_spin_z(L)`` equals ``spin_z_levels(L)[excitation_count(L)]``."""
+    cnt = np.bitwise_count(np.arange(1 << L))
+    cnt.setflags(write=False)
+    return cnt
+
+
+@lru_cache(maxsize=64)
+def spin_z_levels(L: int) -> np.ndarray:
+    """The L + 1 values of total spin-z, L/2 - c for c excited qubits."""
+    levels = 0.5 * L - np.arange(L + 1)
+    levels.setflags(write=False)
+    return levels
+
+
 @dataclass(frozen=True)
 class StateVector:
     """2^L complex amplitudes at a given time, tagged with its frame.

@@ -22,9 +22,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .basis import format_state_table, ground_state
+from .basis import format_state_table
 from .errors import ProtocolError, SpinChainError
-from .exact import run_protocol
 from .fidelity import protocol_fidelity
 from .hamiltonian import ChainParams, chaos_border, fake_transitions
 from .pert import ORDER_BLOCK, ORDER_BLOCK_PT1
@@ -171,8 +170,7 @@ def cmd_run(args) -> int:
         lines.append(f"f_pert = {_fmt(report.f_pert)}")
     _write(args, "\n".join(lines) + "\n")
     if args.dump_state:
-        prot = build_entanglement_protocol(params, args.omega)
-        psi = run_protocol(ground_state(params.L), prot)
+        psi = report.psi_pert if report.psi_exact is None else report.psi_exact
         with open(args.dump_state, "w") as fh:
             fh.write(format_state_table(psi))
     return EXIT_OK
@@ -361,7 +359,10 @@ def make_parser() -> _Parser:
                        default=ORDER_BLOCK)
     p_run.add_argument("--strict", action="store_true",
                        help="fail (exit 2) when outside the selective regime")
-    p_run.add_argument("--dump-state", help="write final amplitudes to this file")
+    p_run.add_argument("--dump-state",
+                       help="write the final lab-frame amplitudes to this "
+                            "file: the exact route's under exact or both, "
+                            "the pert route's under pert")
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="sweep one parameter, emit CSV")

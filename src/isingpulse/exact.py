@@ -9,7 +9,10 @@ distinct pulse).  Between frames the states pick up the diagonal phases
     rotating -> lab:   c_s *= exp(+i nu t Sz(s))
 
 evaluated at global time t, which is what keeps the relative phases of the
-branches right when pulses of different frequencies are chained.
+branches right when pulses of different frequencies are chained.  Total
+spin-z takes only the L + 1 values L/2 - c, c the number of excited
+qubits, so each transform evaluates L + 1 exponentials and gathers them
+by the cached per-state count.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .basis import NORM_TOL, StateVector, total_spin_z
+from .basis import NORM_TOL, StateVector, excitation_count, spin_z_levels
 from .errors import CapacityError, FrameError, NumericalError
 from .hamiltonian import ChainParams, RotFrameHam, build_rot_ham
 from .protocol import Protocol, Pulse
@@ -29,17 +32,22 @@ from .protocol import Protocol, Pulse
 MAX_QUBITS_DENSE = 14
 
 
+def _spin_z_phase(x: complex, L: int) -> np.ndarray:
+    """exp(x * Sz_total) for every basis state, from the L + 1 levels."""
+    return np.exp(x * spin_z_levels(L))[excitation_count(L)]
+
+
 def to_rotating(psi: StateVector, nu: float, t: float) -> StateVector:
     """Transform a lab-frame state into the frame rotating at nu, at time t."""
     psi.require_lab()
-    phase = np.exp(-1j * nu * t * total_spin_z(psi.L))
+    phase = _spin_z_phase(-1j * nu * t, psi.L)
     return StateVector(psi.amplitudes * phase, time=psi.time, rot_nu=nu)
 
 
 def from_rotating(psi: StateVector, nu: float, t: float) -> StateVector:
     """Inverse of :func:`to_rotating` at the same frequency and time."""
     psi.require_rotating(nu)
-    phase = np.exp(1j * nu * t * total_spin_z(psi.L))
+    phase = _spin_z_phase(1j * nu * t, psi.L)
     return StateVector(psi.amplitudes * phase, time=psi.time, rot_nu=None)
 
 

@@ -12,7 +12,7 @@ the pulse sequence itself implies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -129,7 +129,8 @@ def predicted_fidelity(L: int, Omega: float, J: float) -> PredictedFidelity:
 
 @dataclass(frozen=True)
 class FidelityReport:
-    """Result of one protocol run: fidelities and per-pulse diagnostics."""
+    """Result of one protocol run: fidelities, per-pulse diagnostics and the
+    final lab-frame state of each route that ran."""
 
     params: ChainParams
     Omega: float
@@ -139,6 +140,8 @@ class FidelityReport:
     M: int
     m_th: float
     total_time: float
+    psi_exact: StateVector | None = field(repr=False, compare=False)
+    psi_pert: StateVector | None = field(repr=False, compare=False)
 
     @property
     def one_minus_f(self) -> float | None:
@@ -158,7 +161,7 @@ def protocol_fidelity(
         raise ValueError(f"unknown propagator {propagator!r}")
     prot = build_entanglement_protocol(p, Omega, mirror=mirror)
     psi_i = build_ideal_state(prot)
-    f_exact = f_pert = None
+    f_exact = f_pert = psi_r = psi_p = None
     if propagator in ("exact", "both"):
         psi_r = run_protocol(ground_state(p.L), prot)
         f_exact = dynamical_fidelity(psi_i, psi_r)
@@ -176,4 +179,6 @@ def protocol_fidelity(
         M=2 * p.L - 3,
         m_th=-(Omega * Omega) / (4.0 * p.J * p.J) if p.J > 0 else -math.inf,
         total_time=prot.total_time,
+        psi_exact=psi_r,
+        psi_pert=psi_p,
     )

@@ -115,6 +115,19 @@ class BlockPartition:
     n_conflicts: int
 
 
+def _greedy_matching(order, cand_m, cand_p):
+    """The entries of ``order`` whose candidate pair still has both states
+    free when a scan in that order reaches it."""
+    taken = set()
+    sel = []
+    pairs = zip(order.tolist(), cand_m[order].tolist(), cand_p[order].tolist())
+    for i, m, q in pairs:
+        if m not in taken and q not in taken:
+            taken.update((m, q))
+            sel.append(i)
+    return np.array(sel, dtype=int)
+
+
 def partition_blocks(
     pulse: Pulse,
     p: ChainParams,
@@ -124,11 +137,14 @@ def partition_blocks(
     """Pair every basis state with its closest single-flip partner.
 
     Candidate pairs are the single-flip pairs whose rotating-frame detuning
-    has magnitude at most ``threshold``; they are matched greedily in order
-    of increasing |detuning|, so in the selective regime each state simply
-    gets its unique near-resonant partner.  With ``strict`` a state whose
-    closest candidate is taken by a better match raises :class:`PairingError`
-    instead of falling through to its next candidate or a singleton.
+    has magnitude at most ``threshold``, in order of increasing |detuning|.
+    In the selective regime no state lies in two candidate pairs, so the
+    candidates already form a matching and all of them are taken.  Only
+    when some state has two candidates are they matched greedily in that
+    order, a state keeping its best partner that is still free.  With
+    ``strict`` a state whose closest candidate is taken by a better match
+    raises :class:`PairingError` instead of falling through to its next
+    candidate or a singleton.
     """
     if threshold is None:
         threshold = default_threshold(p)
@@ -139,14 +155,20 @@ def partition_blocks(
     pair_m, pair_p, pair_d = [], [], []
     best_abs = np.full(n, np.inf)
     for k in range(L):
+        # Axis 1 of these views is bit k: [:, 0] holds the states with it
+        # clear, in ascending order, and [:, 1] their flip partners.
         bit = 1 << k
-        d_k = e_rot[idx ^ bit] - e_rot[idx]
-        np.minimum(best_abs, np.abs(d_k), out=best_abs)
-        lo = idx[(idx & bit) == 0]
-        d_lo = d_k[lo]
-        keep = np.abs(d_lo) <= threshold
-        pair_m.append(lo[keep])
-        pair_p.append(lo[keep] ^ bit)
+        shape = (n >> (k + 1), 2, bit)
+        e = e_rot.reshape(shape)
+        d_lo = e[:, 1] - e[:, 0]
+        abs_d = np.abs(d_lo)
+        best = best_abs.reshape(shape)
+        np.minimum(best[:, 0], abs_d, out=best[:, 0])
+        np.minimum(best[:, 1], abs_d, out=best[:, 1])
+        keep = abs_d <= threshold
+        lo = idx.reshape(shape)[:, 0][keep]
+        pair_m.append(lo)
+        pair_p.append(lo ^ bit)
         pair_d.append(d_lo[keep])
     cand_m = np.concatenate(pair_m)
     cand_p = np.concatenate(pair_p)
@@ -154,28 +176,22 @@ def partition_blocks(
 
     # Ascending |Delta|, ties broken by state indices for determinism.
     order = np.lexsort((cand_p, cand_m, np.abs(cand_d)))
+    if np.bincount(np.concatenate([cand_m, cand_p]), minlength=n).max() > 1:
+        order = _greedy_matching(order, cand_m, cand_p)
+    m_idx = cand_m[order]
+    p_idx = cand_p[order]
+    delta = cand_d[order]
     taken = np.zeros(n, dtype=bool)
-    partner_of = np.full(n, -1, dtype=np.int64)
-    sel = []
-    for i in order:
-        m, q = int(cand_m[i]), int(cand_p[i])
-        if not taken[m] and not taken[q]:
-            taken[m] = taken[q] = True
-            partner_of[m], partner_of[q] = q, m
-            sel.append(i)
-    sel = np.array(sel, dtype=int)
-    m_idx = cand_m[sel]
-    p_idx = cand_p[sel]
-    delta = cand_d[sel]
+    taken[m_idx] = taken[p_idx] = True
 
     # A state is "conflicted" when its closest transition was within the
-    # threshold but it did not end up paired through it.
+    # threshold but it did not end up paired through it; a paired state is
+    # "happy" when its pair's |Delta| is that closest one.
     in_thr = best_abs <= threshold
     happy = np.zeros(n, dtype=bool)
-    for k in range(L):
-        bit = 1 << k
-        d_k = np.abs(e_rot[idx ^ bit] - e_rot[idx])
-        happy |= (partner_of == (idx ^ bit)) & (d_k == best_abs)
+    abs_delta = np.abs(delta)
+    happy[m_idx] = abs_delta == best_abs[m_idx]
+    happy[p_idx] = abs_delta == best_abs[p_idx]
     n_conflicts = int(np.count_nonzero(in_thr & ~happy))
     if strict and n_conflicts:
         bad = idx[in_thr & ~happy][0]

@@ -85,6 +85,44 @@ def test_run_state_dump(tmp_path):
     assert sum(probs) == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("propagator", ["exact", "both", "pert"])
+def test_run_state_dump_is_the_reported_route(tmp_path, propagator):
+    # The dump is the final state the run computed: the exact route's under
+    # exact and both, the block route's under pert.
+    from isingpulse import (
+        ChainParams, build_entanglement_protocol, ground_state, run_protocol,
+        run_protocol_pert,
+    )
+    from isingpulse.basis import format_state_table
+
+    dump = tmp_path / "state.txt"
+    code = run_cli(
+        "run", "--L", "5", "--J", "1.945", "--a", "100", "--omega", "0.118",
+        "--propagator", propagator, "--dump-state", str(dump),
+        "--out", str(tmp_path / "r.txt"),
+    )
+    assert code == EXIT_OK
+    prot = build_entanglement_protocol(
+        ChainParams(L=5, omega0=0.0, a=100.0, J=1.945), 0.118
+    )
+    route = run_protocol_pert if propagator == "pert" else run_protocol
+    assert read(dump) == format_state_table(route(ground_state(5), prot))
+
+
+def test_run_pert_state_dump_beyond_the_dense_cap(tmp_path):
+    dump = tmp_path / "state.txt"
+    code = run_cli(
+        "run", "--L", "15", "--J", "1.945", "--a", "100", "--omega", "0.118",
+        "--propagator", "pert", "--dump-state", str(dump),
+        "--out", str(tmp_path / "r.txt"),
+    )
+    assert code == EXIT_OK
+    lines = read(dump).splitlines()
+    assert len(lines) == 1 + (1 << 15)
+    probs = [float(l.split()[4]) for l in lines[1:]]
+    assert sum(probs) == pytest.approx(1.0, abs=1e-10)
+
+
 def test_sweep_csv_schema_and_determinism(tmp_path):
     args = (
         "sweep", "--param", "J", "--from", "0.5", "--to", "2.0", "--steps", "4",

@@ -20,6 +20,7 @@ from isingpulse import (
     run_protocol,
     to_rotating,
 )
+from isingpulse.basis import total_spin_z
 from isingpulse.exact import PulsePropagator
 
 
@@ -64,6 +65,25 @@ def test_all_ground_frame_phase():
     L, nu, t = 4, 2.0, 0.9
     rot = to_rotating(ground_state(L), nu, t)
     assert rot.amplitudes[0] == pytest.approx(np.exp(-1j * nu * t * L / 2), abs=1e-14)
+
+
+@pytest.mark.parametrize("L", range(1, 13))
+def test_frame_transforms_match_direct_phases_bit_for_bit(L):
+    # The transforms exponentiate the L + 1 spin-z levels only; every
+    # amplitude must come out as with one exponential per basis state.
+    rng = np.random.default_rng(L)
+    psi = _random_state(L, rng)
+    amps = psi.amplitudes
+    tsz = total_spin_z(L)
+    cases = [(0.0, 0.0), (5.0, 0.0), (0.0, 3.0), (-7.25, 1.5), (237.3, 26.6),
+             (1234.5678, 810.0), (3e3, 333.3)]  # the last two: nu*t ~ 1e6
+    cases += [(float(rng.uniform(-500, 500)), float(rng.uniform(0, 2e3)))
+              for _ in range(5)]
+    for nu, t in cases:
+        rot = to_rotating(psi, nu, t).amplitudes
+        assert rot.tobytes() == (amps * np.exp(-1j * nu * t * tsz)).tobytes()
+        lab = from_rotating(StateVector(amps, rot_nu=nu), nu, t).amplitudes
+        assert lab.tobytes() == (amps * np.exp(1j * nu * t * tsz)).tobytes()
 
 
 def test_frame_mismatch_raises():

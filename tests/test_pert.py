@@ -20,6 +20,7 @@ from isingpulse import (
     run_protocol_pert,
     two_pi_k_omega,
 )
+from isingpulse.hamiltonian import rotating_energy_table
 from isingpulse.pert import ORDER_BLOCK_PT1, _block_u, default_threshold
 from isingpulse.protocol import Protocol
 
@@ -86,6 +87,95 @@ def test_partition_conflict_near_one_fifth_a():
     assert conflicted
     with pytest.raises(PairingError):
         partition_blocks(conflicted[0], p, strict=True)
+
+
+def _reference_partition(pulse, p):
+    """The per-candidate greedy matching, with a second pass over all
+    detunings to count conflicts: the direct form of the algorithm, kept as
+    a reference for partition_blocks.  Returns (m_idx, p_idx, delta,
+    singletons, n_conflicts)."""
+    threshold = default_threshold(p)
+    L, n = p.L, 1 << p.L
+    idx = np.arange(n)
+    e_rot = rotating_energy_table(p, pulse.nu)
+
+    pair_m, pair_p, pair_d = [], [], []
+    best_abs = np.full(n, np.inf)
+    for k in range(L):
+        bit = 1 << k
+        d_k = e_rot[idx ^ bit] - e_rot[idx]
+        np.minimum(best_abs, np.abs(d_k), out=best_abs)
+        lo = idx[(idx & bit) == 0]
+        d_lo = d_k[lo]
+        keep = np.abs(d_lo) <= threshold
+        pair_m.append(lo[keep])
+        pair_p.append(lo[keep] ^ bit)
+        pair_d.append(d_lo[keep])
+    cand_m = np.concatenate(pair_m)
+    cand_p = np.concatenate(pair_p)
+    cand_d = np.concatenate(pair_d)
+
+    order = np.lexsort((cand_p, cand_m, np.abs(cand_d)))
+    taken = np.zeros(n, dtype=bool)
+    partner_of = np.full(n, -1, dtype=np.int64)
+    sel = []
+    for i in order:
+        m, q = int(cand_m[i]), int(cand_p[i])
+        if not taken[m] and not taken[q]:
+            taken[m] = taken[q] = True
+            partner_of[m], partner_of[q] = q, m
+            sel.append(i)
+    sel = np.array(sel, dtype=int)
+
+    in_thr = best_abs <= threshold
+    happy = np.zeros(n, dtype=bool)
+    for k in range(L):
+        bit = 1 << k
+        d_k = np.abs(e_rot[idx ^ bit] - e_rot[idx])
+        happy |= (partner_of == (idx ^ bit)) & (d_k == best_abs)
+    n_conflicts = int(np.count_nonzero(in_thr & ~happy))
+    return cand_m[sel], cand_p[sel], cand_d[sel], idx[~taken], n_conflicts
+
+
+MATCHING_J = (0.3, 1.945, 9.99, 100.0 / 5, 100.0 / 4, 100.0 / 3, 100.0 / 2)
+
+
+@pytest.mark.parametrize("L", range(3, 11))
+def test_partition_matches_reference_greedy_loop_bit_for_bit(L, monkeypatch):
+    # Both walk orientations (the mirror walk at omega0 = a, where its
+    # intended energies are positive), over couplings from the selective
+    # regime to the a/5 .. a/2 collisions.
+    import isingpulse.pert as pert
+
+    greedy_calls = []
+    greedy = pert._greedy_matching
+
+    def counted(*args):
+        greedy_calls.append(1)
+        return greedy(*args)
+
+    monkeypatch.setattr(pert, "_greedy_matching", counted)
+    n_pulses = n_conflicted = 0
+    for mirror in (False, True):
+        for J in MATCHING_J:
+            p = ChainParams(L=L, omega0=100.0 if mirror else 0.0, a=100.0, J=J)
+            prot = build_entanglement_protocol(p, 0.118, mirror=mirror)
+            for pu in prot.pulses:
+                part = partition_blocks(pu, p)
+                got = (part.m_idx, part.p_idx, part.delta, part.singletons)
+                *want, n_conflicts = _reference_partition(pu, p)
+                for g, w in zip(got, want):
+                    assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+                assert part.n_conflicts == n_conflicts
+                n_pulses += 1
+                if n_conflicts:
+                    n_conflicted += 1
+                    with pytest.raises(PairingError):
+                        partition_blocks(pu, p, strict=True)
+                else:
+                    partition_blocks(pu, p, strict=True)
+    # Both branches ran, and every conflicted pulse took the greedy one.
+    assert 0 < n_conflicted <= len(greedy_calls) < n_pulses
 
 
 def test_partition_blocks_object_view():
