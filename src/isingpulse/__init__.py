@@ -40,7 +40,6 @@ from .hamiltonian import (
     chaos_border,
     fake_transitions,
     h0_energy_table,
-    single_flip_deltas,
 )
 from .pert import (
     BlockPartition,
@@ -101,7 +100,6 @@ __all__ = [
     "resonance_frequency",
     "run_protocol",
     "run_protocol_pert",
-    "single_flip_deltas",
     "spectator_detunings",
     "spin_z",
     "to_rotating",

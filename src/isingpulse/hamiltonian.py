@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .basis import BasisState, spin_z_column, total_spin_z
+from .basis import spin_z_column, total_spin_z
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from .protocol import Pulse
@@ -89,16 +89,6 @@ def rotating_energy_table(p: ChainParams, nu: float) -> np.ndarray:
     return h0_energy_table(p) + nu * total_spin_z(p.L)
 
 
-def single_flip_deltas(s: BasisState, p: ChainParams) -> list[tuple[int, float]]:
-    """|E0(flip(s,k)) - E0(s)| for every qubit k, by direct evaluation.
-
-    Closed forms: a bulk spin gives |w_k +- 2J| or |w_k| depending on the
-    neighbour configuration, a border spin gives |w_k +- J|.
-    """
-    e = h0_energy_table(p, [s.index] + [s.index ^ (1 << k) for k in range(p.L)])
-    return [(k, float(abs(e[1 + k] - e[0]))) for k in range(p.L)]
-
-
 @dataclass(frozen=True)
 class RotFrameHam:
     """Stationary rotating-frame Hamiltonian of one pulse.
@@ -115,18 +105,14 @@ class RotFrameHam:
     nu: float
     Omega: float
     phi: float = 0.0
-    xi: np.ndarray = field(init=False, repr=False)
     diagonal: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("nu", "Omega", "phi"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"pulse field {name} must be finite")
-        xi = np.array([self.params.omega(k) - self.nu for k in range(self.params.L)])
-        xi.setflags(write=False)
         diag = rotating_energy_table(self.params, self.nu)
         diag.setflags(write=False)
-        object.__setattr__(self, "xi", xi)
         object.__setattr__(self, "diagonal", diag)
 
     @property

@@ -154,17 +154,6 @@ def build_entanglement_protocol(
     return Protocol(pulses=tuple(pulses), params=p, kind=ENTANGLE_KIND)
 
 
-def protocol_target_index(prot: Protocol) -> int:
-    """Basis index of the excited branch after the last pulse."""
-    if prot.kind != ENTANGLE_KIND:
-        raise ProtocolError("target index is defined for the built-in walk only")
-    idx = 0
-    for pu in prot.pulses:
-        src, k = pu.target
-        idx ^= 1 << k
-    return idx
-
-
 def spectator_detunings(prot: Protocol) -> list[float]:
     """Detuning of the parked |0...0> branch at each non-first pulse.
 

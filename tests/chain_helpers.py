@@ -1,0 +1,34 @@
+"""Reference quantities the tests check the package against.
+
+The package does not compute these itself; each is written here from its
+definition.
+"""
+
+import numpy as np
+
+from isingpulse import BasisState, ChainParams, RotFrameHam, h0_energy_table
+from isingpulse.protocol import Protocol
+
+
+def single_flip_deltas(s: BasisState, p: ChainParams) -> list[tuple[int, float]]:
+    """|E0(flip(s,k)) - E0(s)| for every qubit k, by direct evaluation.
+
+    Closed forms: a bulk spin gives |w_k +- 2J| or |w_k| depending on the
+    neighbour configuration, a border spin gives |w_k +- J|.
+    """
+    e = h0_energy_table(p, [s.index] + [s.index ^ (1 << k) for k in range(p.L)])
+    return [(k, float(abs(e[1 + k] - e[0]))) for k in range(p.L)]
+
+
+def protocol_target_index(prot: Protocol) -> int:
+    """Basis index of the excited branch after the last pulse of a walk."""
+    idx = 0
+    for pu in prot.pulses:
+        _, k = pu.target
+        idx ^= 1 << k
+    return idx
+
+
+def xi(ham: RotFrameHam) -> np.ndarray:
+    """Rotating-frame site detunings xi_k = w_k - nu."""
+    return np.array([ham.params.omega(k) - ham.nu for k in range(ham.params.L)])

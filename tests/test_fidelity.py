@@ -21,7 +21,9 @@ from isingpulse import (
     spectator_detunings,
     two_pi_k_omega,
 )
-from isingpulse.protocol import Protocol, protocol_target_index
+from isingpulse.protocol import Protocol
+
+from chain_helpers import protocol_target_index
 
 P6 = ChainParams(L=6, omega0=0.0, a=100.0, J=1.0)
 

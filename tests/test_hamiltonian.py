@@ -9,10 +9,11 @@ from isingpulse import (
     chaos_border,
     fake_transitions,
     flip,
-    single_flip_deltas,
     spin_z,
 )
 from isingpulse.hamiltonian import h0_energy_table, rotating_energy_table
+
+from chain_helpers import single_flip_deltas, xi
 
 
 def _pulse(nu, Omega, phi=0.0):
@@ -164,7 +165,10 @@ def test_rot_ham_xi_exact():
     p = ChainParams(L=4, omega0=1.0, a=2.5, J=0.0)
     ham = build_rot_ham(p, _pulse(nu=3.2, Omega=0.1))
     for k in range(4):
-        assert ham.xi[k] == p.omega0 + p.a * k - 3.2
+        assert xi(ham)[k] == p.omega0 + p.a * k - 3.2
+        # At J = 0, flipping qubit k alone costs its detuning on the diagonal.
+        gap = ham.diagonal[1 << k] - ham.diagonal[0]
+        assert gap == pytest.approx(xi(ham)[k], abs=1e-12)
 
 
 def test_rot_ham_rejects_nonfinite():

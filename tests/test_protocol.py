@@ -13,12 +13,13 @@ from isingpulse import (
     flip,
     format_protocol_table,
     resonance_frequency,
-    single_flip_deltas,
     spectator_detunings,
     two_pi_k_omega,
     validate_selective,
 )
-from isingpulse.protocol import Protocol, protocol_target_index
+from isingpulse.protocol import Protocol
+
+from chain_helpers import protocol_target_index, single_flip_deltas
 
 P6 = ChainParams(L=6, omega0=0.0, a=100.0, J=1.0)
 
