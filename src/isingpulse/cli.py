@@ -280,7 +280,7 @@ def cmd_slope(args) -> int:
         plist.append(params)
         fs.append(rep.f_exact)
     slope, intercept, stderr = fit_fidelity_slope(plist, fs)
-    m_th = -(args.omega**2) / (4.0 * args.J**2)
+    m_th = rep.m_th
     rel = abs(stderr / slope) if slope != 0 else np.inf
     lines = [
         "L " + " ".join(str(L) for L in ls),

@@ -231,6 +231,20 @@ def test_slope_command(tmp_path):
     assert run_cli("slope", "--from", "4", "--to", "5") == EXIT_USAGE
 
 
+def test_slope_at_zero_coupling(tmp_path):
+    # The predicted slope -Omega^2/(4 J^2) diverges at J = 0; the command
+    # reports it as -inf instead of failing.
+    out = tmp_path / "slope.txt"
+    code = run_cli(
+        "slope", "--J", "0", "--a", "100", "--omega", "0.118",
+        "--from", "3", "--to", "5", "--out", str(out),
+    )
+    assert code == EXIT_OK
+    lines = read(out).splitlines()
+    assert "m_th = -inf" in lines
+    assert any(l.startswith("fitted_slope = ") for l in lines)
+
+
 def test_chaos_command(tmp_path):
     out = tmp_path / "chaos.txt"
     code = run_cli(

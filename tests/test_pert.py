@@ -26,9 +26,11 @@ from isingpulse.hamiltonian import rotating_energy_table
 from isingpulse.pert import (
     ORDER_BLOCK_PT1,
     _apply_pt1,
+    _block_rotation,
     _block_u,
     _cayley_factor,
     _pt1_dressing,
+    _rotate,
     default_threshold,
 )
 from isingpulse.protocol import Protocol
@@ -398,24 +400,49 @@ def test_default_threshold_is_half_step():
     assert default_threshold(P6) == pytest.approx(50.0)
 
 
+def _dense_rotation(part, c, s):
+    """W as a dense matrix from the per-pair rotation arrays."""
+    w = np.eye(1 << part.L)
+    m, q = part.m_idx, part.p_idx
+    w[m, m] = w[q, q] = c
+    w[q, m] = s
+    w[m, q] = -s
+    return w
+
+
+def _dense_nonresonant_coupling(part, Omega):
+    """V: the -Omega/2 single-flip couplings that no pair holds."""
+    n = 1 << part.L
+    idx = np.arange(n)
+    v = np.zeros((n, n))
+    for k in range(part.L):
+        v[idx ^ (1 << k), idx] = -0.5 * Omega
+    v[part.m_idx, part.p_idx] = v[part.p_idx, part.m_idx] = 0.0
+    return v
+
+
 def test_block_eigensystem_diagonalizes_block_hamiltonian():
-    # The analytic per-block eigensystem and the non-resonant split must
-    # reconstruct the dense rotating-frame Hamiltonian exactly.
+    # The per-pair rotations and the non-resonant split must reconstruct the
+    # dense rotating-frame Hamiltonian exactly, and the gathered rotations
+    # must apply W^T and W.
     from isingpulse.hamiltonian import build_rot_ham
-    from isingpulse.pert import _block_eigensystem, _nonresonant_coupling
 
     p = ChainParams(L=4, omega0=0.0, a=30.0, J=1.2)
     prot = build_entanglement_protocol(p, 0.15)
+    rng = np.random.default_rng(3)
     for pu in prot.pulses[:4]:
         part = partition_blocks(pu, p)
-        eps0, w = _block_eigensystem(part, pu.Omega)
-        v = _nonresonant_coupling(part, pu.Omega)
+        eps0, c, s = _block_rotation(part, pu.Omega)
+        wd = _dense_rotation(part, c, s)
+        v = _dense_nonresonant_coupling(part, pu.Omega)
         h = build_rot_ham(p, pu).dense()
-        hb = h - v.toarray()
-        wd = w.toarray()
+        hb = h - v
         assert np.max(np.abs(hb @ wd - wd @ np.diag(eps0))) < 1e-12
         assert np.max(np.abs(wd.T @ wd - np.eye(1 << 4))) < 1e-12
-        assert np.max(np.abs(hb + v.toarray() - h)) == 0.0
+        assert np.max(np.abs(hb + v - h)) == 0.0
+        x = rng.normal(size=1 << 4) + 1j * rng.normal(size=1 << 4)
+        assert np.max(np.abs(_rotate(part, c, s, x) - wd.T @ x)) < 1e-15
+        assert np.max(np.abs(_rotate(part, c, -s, x) - wd @ x)) < 1e-15
 
 
 def test_partition_with_zero_threshold_keeps_resonant_pair_only():
@@ -430,18 +457,133 @@ def test_partition_with_zero_threshold_keeps_resonant_pair_only():
 
 
 def test_pt1_degenerate_denominators_are_skipped(caplog):
-    # At the exact tie J = a/5 the dressing hits near-degenerate denominators;
-    # they are dropped (with a warning) instead of blowing up.
+    # Near-degenerate denominators are dropped instead of blowing up, with
+    # one warning a pulse that counts them as the sparse triple product
+    # does.  At the tie J = a/5 no denominator is that small; at a/2 and a
+    # four and ten of the L = 6 walk's pulses skip 8 to 24 terms each.
     import logging
 
-    p = ChainParams(L=6, omega0=0.0, a=100.0, J=20.0)
-    prot = build_entanglement_protocol(p, 0.118)
-    with caplog.at_level(logging.WARNING, logger="isingpulse.pert"):
-        out = run_protocol_pert(ground_state(6), prot, ORDER_BLOCK_PT1)
-    assert abs(out.norm() - 1.0) < 1e-10
+    for J in (100.0 / 5, 100.0 / 2, 100.0):
+        p = ChainParams(L=6, omega0=0.0, a=100.0, J=J)
+        prot = build_entanglement_protocol(p, 0.118)
+        want = []
+        for pu in prot.pulses:
+            *_, n_skip = _reference_pt1_dressing(
+                partition_blocks(pu, p), pu.Omega, 1e-9 * p.a
+            )
+            if n_skip:
+                want.append(n_skip)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="isingpulse.pert"):
+            out = run_protocol_pert(ground_state(6), prot, ORDER_BLOCK_PT1)
+        assert abs(out.norm() - 1.0) < 1e-10
+        got = [r.args[0] for r in caplog.records
+               if r.name == "isingpulse.pert" and "near-degenerate" in r.getMessage()]
+        assert got == want, J
+        assert bool(want) == (J != 100.0 / 5), J
 
 
 # ------------------------------------------------------ Cayley step
+
+
+def _reference_pt1_dressing(part, Omega, degeneracy_tol):
+    """The dressing as first written, as sparse matrices: the block
+    eigensystem W, the non-resonant coupling V and the triple product
+    W^T V W.  Returns (eps0, eps, W, A, number of skipped terms)."""
+    n = 1 << part.L
+    eps0 = part.e_rot.copy()
+    rows = [part.singletons]
+    cols = [part.singletons]
+    vals = [np.ones(len(part.singletons))]
+    if len(part.m_idx):
+        m, q, d = part.m_idx, part.p_idx, part.delta
+        lam = np.hypot(Omega, d)
+        mean = 0.5 * (part.e_rot[m] + part.e_rot[q])
+        eps0[m] = mean - 0.5 * lam
+        eps0[q] = mean + 0.5 * lam
+        half = 0.5 * np.arctan2(Omega, d)
+        c, s = np.cos(half), np.sin(half)
+        rows += [m, q, m, q]
+        cols += [m, m, q, q]
+        vals += [c, s, -s, c]
+    w = scipy.sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n),
+    ).tocsr()
+
+    idx = np.arange(n)
+    rows = np.concatenate([idx ^ (1 << k) for k in range(part.L)])
+    cols = np.concatenate([idx] * part.L)
+    partner = np.full(n, -1, dtype=np.int64)
+    partner[part.m_idx] = part.p_idx
+    partner[part.p_idx] = part.m_idx
+    keep = partner[cols] != rows
+    rows, cols = rows[keep], cols[keep]
+    v = scipy.sparse.coo_matrix(
+        (np.full(len(rows), -0.5 * Omega), (rows, cols)), shape=(n, n)
+    ).tocsr()
+
+    mm = (w.T @ v @ w).tocoo()
+    den = eps0[mm.col] - eps0[mm.row]
+    ok = np.abs(den) > degeneracy_tol
+    data = np.zeros_like(mm.data)
+    data[ok] = mm.data[ok] / den[ok]
+    a = scipy.sparse.coo_matrix((data, (mm.row, mm.col)), shape=mm.shape)
+    shift = np.zeros_like(eps0)
+    np.add.at(shift, mm.col[ok], mm.data[ok] ** 2 / den[ok])
+    return eps0, eps0 + shift, w, a.tocsc(), int(np.count_nonzero(~ok))
+
+
+def _as_csc(a):
+    n = len(a.indptr) - 1
+    return scipy.sparse.csc_matrix((a.data, a.indices, a.indptr), shape=(n, n))
+
+
+def _one_norm(a):
+    return scipy.sparse.linalg.norm(_as_csc(a), 1)
+
+
+CAYLEY_J = (0.3, 1.945, 9.99, 100.0 / 5, 100.0 / 4, 100.0 / 3, 100.0 / 2, 100.0)
+
+
+def _walk_partitions(L, J, mirror):
+    """(params, pulse, partition) of every pulse of the walk at a = 100,
+    Omega = 0.118; the mirror walk runs at omega0 = a so its intended
+    energies are positive."""
+    a = 100.0
+    p = ChainParams(L=L, omega0=a if mirror else 0.0, a=a, J=J)
+    prot = build_entanglement_protocol(p, 0.118, mirror=mirror)
+    return [(p, pu, partition_blocks(pu, p)) for pu in prot.pulses]
+
+
+@pytest.mark.parametrize("L", range(3, 11))
+def test_pt1_dressing_matches_sparse_triple_product_reference(L, caplog):
+    # The dressing built from the partition's arrays gives the triple
+    # product's eps and A, and A's pattern is a subset of the reference's:
+    # entries that cancel there may vanish here, none may appear.
+    import logging
+
+    rng = np.random.default_rng(L)
+    for mirror in (False, True):
+        for J in CAYLEY_J:
+            for p, pu, part in _walk_partitions(L, J, mirror):
+                tol = 1e-9 * p.a
+                with caplog.at_level(logging.ERROR, logger="isingpulse.pert"):
+                    eps, c, s, a = _pt1_dressing(part, pu.Omega, tol)
+                    eps0_ref, eps_ref, w_ref, a_ref, _ = _reference_pt1_dressing(
+                        part, pu.Omega, tol
+                    )
+                where = f"L={L} J={J} mirror={mirror}"
+                a = _as_csc(a)
+                assert np.max(np.abs(eps - eps_ref)) < 1e-12, where
+                assert abs(a - a_ref).max() < 1e-12, where
+                assert ((a != 0) > (a_ref != 0)).nnz == 0, where
+                assert a.nnz <= a_ref.nnz, where
+                eps0, c, s = _block_rotation(part, pu.Omega)
+                assert np.array_equal(eps0, eps0_ref), where
+                x = rng.normal(size=1 << L)
+                assert np.array_equal(_rotate(part, c, s, x), w_ref.T @ x), where
+                assert np.array_equal(_rotate(part, c, -s, x), w_ref @ x), where
 
 
 def _reference_apply_pt1(c, eps, tau, a):
@@ -456,15 +598,10 @@ def _reference_apply_pt1(c, eps, tau, a):
 
 
 def _walk_dressings(L, J, mirror):
-    """(pulse, eps, A) of every pulse of the walk at a = 100, Omega = 0.118;
-    the mirror walk runs at omega0 = a so its intended energies are positive."""
-    a = 100.0
-    p = ChainParams(L=L, omega0=a if mirror else 0.0, a=a, J=J)
-    prot = build_entanglement_protocol(p, 0.118, mirror=mirror)
+    """(pulse, eps, A) of every pulse of the walk at a = 100, Omega = 0.118."""
     out = []
-    for pu in prot.pulses:
-        part = partition_blocks(pu, p)
-        _, eps, _, gen = _pt1_dressing(part, pu.Omega, 1e-9 * a)
+    for p, pu, part in _walk_partitions(L, J, mirror):
+        eps, _, _, gen = _pt1_dressing(part, pu.Omega, 1e-9 * p.a)
         out.append((pu, eps, gen))
     return out
 
@@ -475,29 +612,29 @@ def test_cayley_step_matches_complex_colamd_reference():
     # 0.71.  Every pulse is checked up to L = 7; from L = 8 on, where the
     # reference factor grows to 0.18 s at L = 10, the pulse with the largest
     # ||A/2||_1.
-    a = 100.0
     rng = np.random.default_rng(11)
     for L in range(3, 11):
         n = 1 << L
         for mirror in (False, True):
-            for J in (0.3, 1.945, 9.99, a / 5, a / 4, a / 3, a / 2, a):
+            for J in CAYLEY_J:
                 steps = _walk_dressings(L, J, mirror)
                 if L > 7:
-                    steps = [max(steps, key=lambda s: scipy.sparse.linalg.norm(s[2], 1))]
+                    steps = [max(steps, key=lambda s: _one_norm(s[2]))]
                 for pu, eps, gen in steps:
                     c = rng.normal(size=n) + 1j * rng.normal(size=n)
                     c /= np.linalg.norm(c)
                     new = _apply_pt1(c, eps, pu.duration, gen)
-                    ref = _reference_apply_pt1(c, eps, pu.duration, gen)
+                    ref = _reference_apply_pt1(c, eps, pu.duration, _as_csc(gen))
                     where = f"L={L} J={J} mirror={mirror}"
                     assert np.max(np.abs(new - ref)) < 1e-12, where
                     assert abs(np.linalg.norm(new) - 1.0) < 1e-12, where
 
 
 def test_cayley_factor_fill_stays_low():
-    # Minimum degree on A^T + A keeps the L = 10 factor at 294k nonzeros a
-    # pulse on average and 332k at most; the complex COLAMD factor had 600k
-    # on average and never fewer than 531k.
+    # Minimum degree on A^T + A keeps the L = 10 factor at 223k nonzeros a
+    # pulse on average and 227k at most (294k and 332k while A kept the
+    # rounding residue of cancelling couplings); the complex COLAMD factor
+    # had 600k on average and never fewer than 531k.
     for _, _, gen in _walk_dressings(10, 1.945, mirror=False):
         _, lu = _cayley_factor(gen)
         assert lu.L.nnz + lu.U.nnz < 400_000
