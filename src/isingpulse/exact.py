@@ -2,8 +2,11 @@
 
 Within one pulse the rotating-frame Hamiltonian is stationary, so the pulse
 unitary is a single matrix exponential obtained from a full Hermitian
-eigendecomposition (machine-precision unitary, one decomposition per
-distinct pulse).  Between frames the states pick up the diagonal phases
+eigendecomposition (machine-precision unitary), computed by LAPACK's
+divide-and-conquer driver (``evd``).  A run builds one eigensystem per
+transition the walk drives on paper, L + 1 for the 2L - 2 pulses of the
+entanglement walk, and frees each one after the last pulse that uses it.
+Between frames the states pick up the diagonal phases
 
     lab -> rotating:   c_s *= exp(-i nu t Sz(s))
     rotating -> lab:   c_s *= exp(+i nu t Sz(s))
@@ -17,6 +20,7 @@ by the cached per-state count.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,7 +65,7 @@ class PulsePropagator:
 
     @classmethod
     def build(cls, ham: RotFrameHam) -> "PulsePropagator":
-        w, v = scipy.linalg.eigh(ham.dense(), check_finite=False)
+        w, v = scipy.linalg.eigh(ham.dense(), check_finite=False, driver="evd")
         w.setflags(write=False)
         v.setflags(write=False)
         return cls(ham=ham, eigenvalues=w, eigenvectors=v)
@@ -69,23 +73,65 @@ class PulsePropagator:
     def apply(self, amps: np.ndarray, tau: float) -> np.ndarray:
         """exp(-i H tau) applied to rotating-frame amplitudes."""
         v = self.eigenvectors
-        return v @ (np.exp(-1j * self.eigenvalues * tau) * (v.conj().T @ amps))
+        phase = np.exp(-1j * self.eigenvalues * tau)
+        if np.iscomplexobj(v):
+            return v @ (phase * (v.conj().T @ amps))
+        # Real eigenvectors (phi = 0): multiply the real and imaginary
+        # parts as two float columns, so v is never cast to complex.
+        x = np.ascontiguousarray(amps, dtype=complex).view(float).reshape(-1, 2)
+        y = (v.T @ x).view(complex).ravel() * phase
+        return (v @ y.view(float).reshape(-1, 2)).view(complex).ravel()
 
 
-def _dense_step(p: ChainParams):
-    """Exact pulse step; pulses with equal (nu, Omega, phi) share one
-    eigensystem for the lifetime of the step."""
+def _transition_key(pulse: Pulse) -> tuple:
+    """Cache key of a pulse's rotating-frame Hamiltonian.
+
+    A walk pulse flips qubit k of its source state, and its frequency is
+    fixed on paper by k and the number of k's excited neighbours, so that
+    pair keys it instead of the float nu, whose last bits depend on which
+    energies were subtracted.  A hand-built pulse keys by its nu.
+    """
+    if pulse.target is None:
+        return (pulse.nu, pulse.Omega, pulse.phi)
+    src, k = pulse.target
+    excited = sum(src.index >> j & 1 for j in (k - 1, k + 1) if 0 <= j < src.L)
+    return (k, excited, pulse.Omega, pulse.phi)
+
+
+# Walk pulses that share a transition key differ in nu by rounding only,
+# at most 2.8e-14 of nu on either walk for L = 3..14; a larger gap means
+# the target annotation does not describe the pulse.
+_SAME_NU_RTOL = 1e-12
+
+
+def _dense_step(p: ChainParams, pulses=()):
+    """Exact pulse step, with eigensystems shared by transition.
+
+    Pulses that drive the same transition on paper (same
+    :func:`_transition_key`) share one eigensystem, built from the first
+    of them, so the entanglement walk's 2L - 2 pulses take L + 1.  Each
+    eigensystem is freed once the last of ``pulses`` that uses it has
+    been stepped; a key that ``pulses`` does not list is freed after its
+    one step.  A pulse whose nu is not the cached one to within rounding
+    gets an eigensystem of its own.
+    """
     if p.L > MAX_QUBITS_DENSE:
         raise CapacityError(
             f"L={p.L} exceeds the dense-propagator cap {MAX_QUBITS_DENSE}"
         )
+    uses = Counter(_transition_key(pu) for pu in pulses)
     cache: dict = {}
 
     def step(amps: np.ndarray, pulse: Pulse) -> np.ndarray:
-        key = (pulse.nu, pulse.Omega, pulse.phi)
+        key = _transition_key(pulse)
         prop = cache.get(key)
         if prop is None:
             prop = cache[key] = PulsePropagator.build(build_rot_ham(p, pulse))
+        elif abs(prop.ham.nu - pulse.nu) > _SAME_NU_RTOL * abs(pulse.nu):
+            prop = PulsePropagator.build(build_rot_ham(p, pulse))
+        uses[key] -= 1
+        if uses[key] <= 0:
+            del cache[key], uses[key]
         return prop.apply(amps, pulse.duration)
 
     return step
@@ -130,4 +176,4 @@ def propagate_protocol(psi0: StateVector, prot: Protocol, step) -> StateVector:
 
 def run_protocol(psi0: StateVector, prot: Protocol) -> StateVector:
     """Sequential exact propagation through every pulse of a protocol."""
-    return propagate_protocol(psi0, prot, _dense_step(prot.params))
+    return propagate_protocol(psi0, prot, _dense_step(prot.params, prot.pulses))

@@ -44,6 +44,26 @@ def dynamical_fidelity(psi_i: StateVector, psi_r: StateVector) -> float:
     return float(abs(np.vdot(psi_i.amplitudes, psi_r.amplitudes)) ** 2)
 
 
+def _block_phases(Omega, Delta, tau, e_m, e_p):
+    """Unit phases of the diagonal entries u11 and u22 of each block's 2x2
+    unitary (see :func:`~isingpulse.pert._block_u`), for Omega > 0.
+
+    u11 = (cos + i dl sin) ph_m and u22 = (cos - i dl sin) ph_p with ph_m,
+    ph_p unit diagonal phases, so only the first factor needs normalising;
+    its modulus is never zero, because cos has no floating-point root.
+    """
+    lam = np.hypot(Omega, Delta)
+    theta = 0.5 * lam * tau
+    cos = np.cos(theta)
+    dsin = Delta / lam * np.sin(theta)
+    rot = (cos + 1j * dsin) / np.hypot(cos, dsin)
+    half = 0.5 * Delta * tau
+    return (
+        rot * np.exp(-1j * (half + e_m * tau)),
+        rot.conj() * np.exp(1j * (half - e_p * tau)),
+    )
+
+
 def build_ideal_state(prot: Protocol) -> StateVector:
     """Phase-corrected two-component target of the entanglement walk."""
     if prot.kind != ENTANGLE_KIND or any(pu.target is None for pu in prot.pulses):
@@ -60,11 +80,11 @@ def build_ideal_state(prot: Protocol) -> StateVector:
         out = amps.copy()
         tau = pulse.duration
         # Every block contributes phases only, magnitudes kept.
-        u11, _, _, u22 = _block_u(
+        ph_m, ph_p = _block_phases(
             pulse.Omega, part.delta, tau, part.e_rot[part.m_idx], part.e_rot[part.p_idx]
         )
-        out[part.m_idx] = amps[part.m_idx] * np.exp(1j * np.angle(u11))
-        out[part.p_idx] = amps[part.p_idx] * np.exp(1j * np.angle(u22))
+        out[part.m_idx] = amps[part.m_idx] * ph_m
+        out[part.p_idx] = amps[part.p_idx] * ph_p
         s = part.singletons
         out[s] = amps[s] * np.exp(-1j * part.e_rot[s] * tau)
         # The intended transition acts in full (resonant by construction).

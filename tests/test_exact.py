@@ -1,7 +1,9 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from isingpulse import (
     BasisState,
@@ -11,6 +13,7 @@ from isingpulse import (
     Pulse,
     StateVector,
     build_entanglement_protocol,
+    build_ideal_state,
     build_rot_ham,
     flip,
     from_rotating,
@@ -20,8 +23,9 @@ from isingpulse import (
     run_protocol,
     to_rotating,
 )
+from isingpulse import exact
 from isingpulse.basis import total_spin_z
-from isingpulse.exact import PulsePropagator
+from isingpulse.exact import PulsePropagator, propagate_protocol
 
 
 def _unitarity_defect(prop, tau, n_samples=8):
@@ -248,3 +252,153 @@ def test_protocol_is_time_ordered_composition():
     assert np.allclose(
         psi.amplitudes, run_protocol(ground_state(4), prot).amplitudes, atol=1e-12
     )
+
+
+# ------------------------------------------------------ eigensystem cache
+
+
+def _count_builds(monkeypatch):
+    """Weak references to every propagator built from now on."""
+    built = []
+    original = PulsePropagator.build.__func__
+
+    def build(cls, ham):
+        prop = original(cls, ham)
+        built.append(weakref.ref(prop))
+        return prop
+
+    monkeypatch.setattr(PulsePropagator, "build", classmethod(build))
+    return built
+
+
+@pytest.mark.parametrize("L", range(4, 10))
+def test_walk_builds_one_eigensystem_per_transition(monkeypatch, L):
+    # The 2L - 2 walk pulses drive L + 1 distinct transitions on paper:
+    # each qubit with one excited neighbour, qubit 0 from |0...0> and the
+    # one flip-back with both neighbours excited.
+    built = _count_builds(monkeypatch)
+    walks = [(0.0, False, J) for J in (0.8, 1.945, 2.7)] + [(100.0, True, 1.945)]
+    for omega0, mirror, J in walks:
+        p = ChainParams(L=L, omega0=omega0, a=100.0, J=J)
+        prot = build_entanglement_protocol(p, 0.118, mirror=mirror)
+        built.clear()
+        run_protocol(ground_state(L), prot)
+        assert len(built) == L + 1, f"J={J} mirror={mirror}"
+
+
+def test_hand_built_pulses_with_equal_frequency_share_one_build(monkeypatch):
+    from isingpulse.protocol import Protocol
+
+    built = _count_builds(monkeypatch)
+    p = ChainParams(L=3, omega0=0.0, a=10.0, J=0.7)
+    pulses = (
+        Pulse(nu=10.2, Omega=0.3, phi=0.0, duration=1.5, t_start=0.0),
+        Pulse(nu=10.2, Omega=0.3, phi=0.0, duration=2.5, t_start=1.5),
+        Pulse(nu=10.2, Omega=0.3, phi=0.4, duration=1.0, t_start=4.0),
+    )
+    run_protocol(ground_state(3), Protocol(pulses=pulses, params=p))
+    assert len(built) == 2
+
+
+def test_eigensystem_is_freed_after_its_last_use(monkeypatch):
+
+    built = _count_builds(monkeypatch)
+    p = ChainParams(L=6, omega0=0.0, a=100.0, J=1.945)
+    prot = build_entanglement_protocol(p, 0.118)
+    keys = [exact._transition_key(pu) for pu in prot.pulses]
+    last_use = {key: i for i, key in enumerate(keys)}
+    refs = {}  # transition key -> weakref to its propagator
+    done = []
+    original = exact.propagate_pulse
+
+    def propagate_pulse(psi, pulse, p, step=None):
+        i = len(done)
+        out = original(psi, pulse, p, step)
+        refs.setdefault(keys[i], built[-1])
+        done.append(i)
+        for key, ref in refs.items():
+            assert (ref() is None) == (last_use[key] <= i), f"pulse {i} key {key}"
+        return out
+
+    monkeypatch.setattr(exact, "propagate_pulse", propagate_pulse)
+    run_protocol(ground_state(6), prot)
+    assert len(done) == len(prot.pulses)
+    assert len(refs) == p.L + 1
+
+
+def test_pulse_whose_nu_disagrees_with_its_target_gets_its_own_build(monkeypatch):
+    # Pulse 5 of the L = 5 walk flips qubit 2 back with one excited
+    # neighbour, the transition pulse 2 drove; detuned, it must not reuse
+    # pulse 2's eigensystem, and runs as if it carried no target.
+    from dataclasses import replace
+
+    from isingpulse.protocol import Protocol
+
+    built = _count_builds(monkeypatch)
+    p = ChainParams(L=5, omega0=0.0, a=100.0, J=1.945)
+    walk = build_entanglement_protocol(p, 0.118).pulses
+    assert exact._transition_key(walk[5]) == exact._transition_key(walk[2])
+    detuned = replace(walk[5], nu=walk[5].nu + 0.3)
+    annotated = Protocol(pulses=walk[:5] + (detuned,) + walk[6:], params=p)
+    bare = Protocol(
+        pulses=walk[:5] + (replace(detuned, target=None),) + walk[6:], params=p
+    )
+    out = run_protocol(ground_state(5), annotated).amplitudes
+    assert len(built) == p.L + 2
+    assert np.array_equal(out, run_protocol(ground_state(5), bare).amplitudes)
+
+
+def _reference_step(p):
+    """The exact step as first written: scipy's default eigh driver and a
+    cache keyed by the float (nu, Omega, phi), applied in complex."""
+    cache = {}
+
+    def step(amps, pulse):
+        key = (pulse.nu, pulse.Omega, pulse.phi)
+        if key not in cache:
+            h = build_rot_ham(p, pulse).dense()
+            cache[key] = scipy.linalg.eigh(h, check_finite=False, driver="evr")
+        w, v = cache[key]
+        return v @ (np.exp(-1j * w * pulse.duration) * (v.conj().T @ amps))
+
+    return step
+
+
+def _expm_reference(psi, prot):
+    for pu in prot.pulses:
+        h = build_rot_ham(prot.params, pu).dense()
+        rot = to_rotating(psi, pu.nu, pu.t_start).amplitudes
+        out = scipy.linalg.expm(-1j * h * pu.duration) @ rot
+        psi = from_rotating(StateVector(out, time=pu.t_end, rot_nu=pu.nu), pu.nu, pu.t_end)
+    return psi.amplitudes
+
+
+@pytest.mark.parametrize("L", range(4, 10))
+def test_dense_step_matches_evr_float_key_reference(L):
+    # The two steps differ by the rounding of two different eigensolvers,
+    # a few ulps of |H| ~ a*L on each eigenphase over tau = pi/Omega: up to
+    # 1.1e-10 in an amplitude at L = 9, the reference's own distance from
+    # expm (below).  The fidelity, which these errors barely move, agrees
+    # far closer.  One J per L keeps the L = 9 reference to a few seconds.
+    J = (0.8, 1.945, 2.7)[L % 3]
+    for omega0, mirror in ((0.0, False), (100.0, True)):
+        p = ChainParams(L=L, omega0=omega0, a=100.0, J=J)
+        prot = build_entanglement_protocol(p, 0.118, mirror=mirror)
+        new = run_protocol(ground_state(L), prot).amplitudes
+        ref = propagate_protocol(ground_state(L), prot, _reference_step(p)).amplitudes
+        assert np.max(np.abs(new - ref)) < 3e-10, f"mirror={mirror}"
+        ideal = build_ideal_state(prot).amplitudes
+        f_new = abs(np.vdot(ideal, new)) ** 2
+        f_ref = abs(np.vdot(ideal, ref)) ** 2
+        assert abs(f_new - f_ref) < 1e-11, f"mirror={mirror}"
+
+
+@pytest.mark.parametrize("L", [6, 8])
+def test_dense_step_matches_expm(L):
+    # Divide and conquer keeps every amplitude within 1.5e-11 of expm at
+    # these points; the evr reference strays up to 1.2e-10.
+    for omega0, mirror, J in ((0.0, False, 2.7), (100.0, True, 19.0)):
+        p = ChainParams(L=L, omega0=omega0, a=100.0, J=J)
+        prot = build_entanglement_protocol(p, 0.118, mirror=mirror)
+        new = run_protocol(ground_state(L), prot).amplitudes
+        assert np.max(np.abs(new - _expm_reference(ground_state(L), prot))) < 5e-11

@@ -21,6 +21,8 @@ from isingpulse import (
     spectator_detunings,
     two_pi_k_omega,
 )
+from isingpulse.exact import propagate_protocol
+from isingpulse.pert import _block_u, partition_blocks
 from isingpulse.protocol import Protocol
 
 from chain_helpers import protocol_target_index
@@ -78,6 +80,48 @@ def test_ideal_state_structure():
     assert ideal.time == pytest.approx(prot.total_time)
     assert ideal.is_lab
     assert dynamical_fidelity(ideal, ideal) == pytest.approx(1.0, abs=1e-12)
+
+
+def _reference_ideal_state(prot):
+    """The ideal state as first written: all four block coefficients of
+    every block, then the unit phase of u11 and u22 through np.angle."""
+    p = prot.params
+
+    def step(amps, pulse):
+        src, k = pulse.target
+        tgt = src.index ^ (1 << k)
+        mm, pp = min(src.index, tgt), max(src.index, tgt)
+        part = partition_blocks(pulse, p)
+        out = amps.copy()
+        tau = pulse.duration
+        u11, _, _, u22 = _block_u(
+            pulse.Omega, part.delta, tau, part.e_rot[part.m_idx], part.e_rot[part.p_idx]
+        )
+        out[part.m_idx] = amps[part.m_idx] * np.exp(1j * np.angle(u11))
+        out[part.p_idx] = amps[part.p_idx] * np.exp(1j * np.angle(u22))
+        s = part.singletons
+        out[s] = amps[s] * np.exp(-1j * part.e_rot[s] * tau)
+        d = part.e_rot[pp] - part.e_rot[mm]
+        v11, v12, v21, v22 = _block_u(pulse.Omega, d, tau, part.e_rot[mm], part.e_rot[pp])
+        am, ap = amps[mm], amps[pp]
+        out[mm] = v11 * am + v12 * ap
+        out[pp] = v21 * am + v22 * ap
+        return out
+
+    return propagate_protocol(ground_state(p.L), prot, step)
+
+
+@pytest.mark.parametrize("L", range(6, 13))
+def test_ideal_state_matches_block_u_reference(L):
+    # The ideal step normalises only the rotation factor of each block's
+    # diagonal entries; the state must be the np.angle construction's.
+    for mirror in (False, True):
+        for J in (0.8, 1.945, 25.0):
+            p = ChainParams(L=L, omega0=100.0 if mirror else 0.0, a=100.0, J=J)
+            prot = build_entanglement_protocol(p, 0.118, mirror=mirror)
+            new = build_ideal_state(prot).amplitudes
+            ref = _reference_ideal_state(prot).amplitudes
+            assert np.max(np.abs(new - ref)) < 1e-13, f"L={L} J={J} mirror={mirror}"
 
 
 def test_ideal_state_rejects_custom_protocols():
