@@ -11,7 +11,10 @@ that fail to propagate get their error recorded in the status column and
 the sweep continues.
 
 Exit codes: 0 ok, 1 usage error, 2 validation failure under --strict,
-3 numerical failure.
+3 numerical failure.  Values outside the model's range (a <= 0, J < 0,
+Omega <= 0, L < 3 for the walk) and unreadable or unwritable files are
+usage errors; in a sweep such values are recorded per point as ValueError
+(or ProtocolError for L < 3).
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 from .basis import format_state_table
 from .errors import ProtocolError, SpinChainError
 from .fidelity import protocol_fidelity
-from .hamiltonian import ChainParams, chaos_border, fake_transitions
+from .hamiltonian import ChainParams, chaos_border
 from .pert import ORDER_BLOCK, ORDER_BLOCK_PT1
 from .protocol import (
     build_entanglement_protocol,
@@ -41,7 +44,6 @@ EXIT_NUMERICAL = 3
 
 CSV_HEADER = "param,value,f_exact,f_pert,one_minus_f,status,flags"
 
-FAKE_FLAG_WINDOW = 0.02
 TWO_PI_K_WINDOW = 0.01
 TWO_PI_K_MAX = 32
 
@@ -101,10 +103,7 @@ def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespa
 
 
 def _chain(args) -> ChainParams:
-    try:
-        return ChainParams(L=args.L, omega0=args.omega0, a=args.a, J=args.J)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    return ChainParams(L=args.L, omega0=args.omega0, a=args.a, J=args.J)
 
 
 def _add_model_args(p: argparse.ArgumentParser):
@@ -117,6 +116,11 @@ def _add_model_args(p: argparse.ArgumentParser):
     p.add_argument("--out", help="write output to this file instead of stdout")
 
 
+def _add_route_args(p: argparse.ArgumentParser):
+    p.add_argument("--propagator", choices=("exact", "pert", "both"), default="exact")
+    p.add_argument("--order", choices=(ORDER_BLOCK, ORDER_BLOCK_PT1), default=ORDER_BLOCK)
+
+
 def _write(args, text: str):
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
@@ -126,7 +130,7 @@ def _write(args, text: str):
 
 
 def _validation_gate(args, params, omega) -> int | None:
-    report = validate_selective(params, omega, fake_window=FAKE_FLAG_WINDOW)
+    report = validate_selective(params, omega)
     if args.strict and report.failed:
         sys.stderr.write("selective-regime validation failed:\n")
         sys.stderr.write(_format_validation(report))
@@ -165,7 +169,7 @@ def cmd_run(args) -> int:
     ]
     if report.f_exact is not None:
         lines.append(f"f_exact = {_fmt(report.f_exact)}")
-        lines.append(f"one_minus_f = {_fmt(1.0 - report.f_exact)}")
+        lines.append(f"one_minus_f = {_fmt(report.one_minus_f)}")
     if report.f_pert is not None:
         lines.append(f"f_pert = {_fmt(report.f_pert)}")
     _write(args, "\n".join(lines) + "\n")
@@ -179,43 +183,30 @@ def cmd_run(args) -> int:
 # ---------------------------------------------------------------- sweep
 
 
-def _sweep_flags(param: str, value: float, base: dict) -> str:
+def _sweep_point(job) -> str:
+    param, value, base, propagator, order = job
+    kw = dict(base)
+    kw[param] = value
+    J, omega = kw["J"], kw["omega"]
     flags = []
-    L, a = base["L"], base["a"]
-    J = value if param == "J" else base["J"]
-    a = value if param == "a" else a
-    omega = value if param == "omega" else base["omega"]
-    if param == "L":
-        L = int(value)
-    if L >= 3 and J > 0:
-        p = ChainParams(L=L, omega0=base["omega0"], a=a, J=J)
-        if any(abs(J - jf) / jf < FAKE_FLAG_WINDOW for jf in fake_transitions(p)):
+    try:
+        params = ChainParams(L=int(kw["L"]), omega0=kw["omega0"], a=kw["a"], J=J)
+        if validate_selective(params, omega).fake_hits:
             flags.append("fake-window")
+        rep = protocol_fidelity(params, omega, propagator=propagator, order=order)
+        f_exact = "" if rep.f_exact is None else _fmt(rep.f_exact)
+        f_pert = "" if rep.f_pert is None else _fmt(rep.f_pert)
+        omf = "" if rep.one_minus_f is None else _fmt(rep.one_minus_f)
+        status = "ok"
+    except (SpinChainError, ValueError) as exc:
+        f_exact = f_pert = omf = ""
+        status = type(exc).__name__
     if J > 0 and any(
         abs(omega - two_pi_k_omega(J, k)) / two_pi_k_omega(J, k) < TWO_PI_K_WINDOW
         for k in range(1, TWO_PI_K_MAX + 1)
     ):
         flags.append("two-pi-k")
-    return ";".join(flags)
-
-
-def _sweep_point(job) -> str:
-    param, value, base, propagator, order = job
-    kw = dict(base)
-    kw[param] = value
-    L = int(kw["L"])
-    try:
-        params = ChainParams(L=L, omega0=kw["omega0"], a=kw["a"], J=kw["J"])
-        rep = protocol_fidelity(params, kw["omega"], propagator=propagator, order=order)
-        f_exact = "" if rep.f_exact is None else _fmt(rep.f_exact)
-        f_pert = "" if rep.f_pert is None else _fmt(rep.f_pert)
-        omf = "" if rep.f_exact is None else _fmt(1.0 - rep.f_exact)
-        status = "ok"
-    except (SpinChainError, ValueError) as exc:
-        f_exact = f_pert = omf = ""
-        status = type(exc).__name__
-    flags = _sweep_flags(param, value, base)
-    return f"{param},{_fmt(value)},{f_exact},{f_pert},{omf},{status},{flags}"
+    return f"{param},{_fmt(value)},{f_exact},{f_pert},{omf},{status},{';'.join(flags)}"
 
 
 def _sweep_values(args) -> list[float]:
@@ -256,9 +247,9 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------- slope
 
 
-def fit_fidelity_slope(params_list, fs):
+def fit_fidelity_slope(ls, fs):
     """Least-squares line through (L, F) points: slope, intercept, stderr."""
-    ls = np.array([float(p.L) for p in params_list])
+    ls = np.asarray(ls, dtype=float)
     fs = np.asarray(fs, dtype=float)
     A = np.vstack([ls, np.ones_like(ls)]).T
     (slope, intercept), *_ = np.linalg.lstsq(A, fs, rcond=None)
@@ -273,13 +264,12 @@ def cmd_slope(args) -> int:
     ls = list(range(args.lo, args.hi + 1))
     if len(ls) < 3:
         raise _UsageError("slope fit needs at least 3 chain lengths")
-    plist, fs = [], []
+    fs = []
     for L in ls:
         params = ChainParams(L=L, omega0=args.omega0, a=args.a, J=args.J)
         rep = protocol_fidelity(params, args.omega, propagator="exact")
-        plist.append(params)
         fs.append(rep.f_exact)
-    slope, intercept, stderr = fit_fidelity_slope(plist, fs)
+    slope, intercept, stderr = fit_fidelity_slope(ls, fs)
     m_th = rep.m_th
     rel = abs(stderr / slope) if slope != 0 else np.inf
     lines = [
@@ -324,7 +314,7 @@ def cmd_chaos(args) -> int:
 
 def cmd_validate(args) -> int:
     params = _chain(args)
-    report = validate_selective(params, args.omega, fake_window=FAKE_FLAG_WINDOW)
+    report = validate_selective(params, args.omega)
     _write(args, _format_validation(report))
     if args.strict and report.failed:
         return EXIT_VALIDATION
@@ -335,11 +325,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_protocol_dump(args) -> int:
-    params = _chain(args)
-    try:
-        prot = build_entanglement_protocol(params, args.omega)
-    except SpinChainError as exc:
-        raise _UsageError(str(exc)) from exc
+    prot = build_entanglement_protocol(_chain(args), args.omega)
     _write(args, format_protocol_table(prot))
     return EXIT_OK
 
@@ -353,10 +339,7 @@ def make_parser() -> _Parser:
 
     p_run = sub.add_parser("run", help="run the protocol once and report fidelity")
     _add_model_args(p_run)
-    p_run.add_argument("--propagator", choices=("exact", "pert", "both"),
-                       default="exact")
-    p_run.add_argument("--order", choices=(ORDER_BLOCK, ORDER_BLOCK_PT1),
-                       default=ORDER_BLOCK)
+    _add_route_args(p_run)
     p_run.add_argument("--strict", action="store_true",
                        help="fail (exit 2) when outside the selective regime")
     p_run.add_argument("--dump-state",
@@ -372,10 +355,7 @@ def make_parser() -> _Parser:
     p_sweep.add_argument("--to", dest="hi", type=float, default=None)
     p_sweep.add_argument("--steps", type=int, default=2)
     p_sweep.add_argument("--values", help="comma-separated explicit sweep values")
-    p_sweep.add_argument("--propagator", choices=("exact", "pert", "both"),
-                         default="exact")
-    p_sweep.add_argument("--order", choices=(ORDER_BLOCK, ORDER_BLOCK_PT1),
-                         default=ORDER_BLOCK)
+    _add_route_args(p_sweep)
     p_sweep.add_argument("--workers", type=int, default=1)
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -408,11 +388,9 @@ def main(argv=None) -> int:
     try:
         args = _parse(parser, sys.argv[1:] if argv is None else list(argv))
         return args.func(args)
-    except _UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except ProtocolError as exc:
-        # Asking for a protocol the model cannot express is a usage problem.
+    except (_UsageError, ProtocolError, ValueError, OSError) as exc:
+        # Bad options, values outside the model's range, a protocol the
+        # model cannot express and unreadable files are all usage problems.
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except SpinChainError as exc:

@@ -27,6 +27,9 @@ START_TIME_TOL = 1e-9
 RATIO_PASS = 0.25
 RATIO_FAIL = 1.0
 
+# Relative distance to a fake-transition coupling below which J is flagged.
+FAKE_WINDOW = 0.02
+
 ENTANGLE_KIND = "entangle"
 
 
@@ -197,7 +200,6 @@ class SelectiveReport:
 
     checks: tuple[RegimeCheck, ...]
     fake_hits: tuple[tuple[float, float], ...]  # (J_fake, relative distance)
-    fake_window: float
 
     @property
     def ok(self) -> bool:
@@ -216,15 +218,14 @@ def _level(ratio: float) -> str:
     return "fail"
 
 
-def validate_selective(
-    p: ChainParams, Omega: float, fake_window: float = 0.02
-) -> SelectiveReport:
+def validate_selective(p: ChainParams, Omega: float) -> SelectiveReport:
     """Report each selective-regime ratio with a pass/warn/fail level.
 
     Checks Omega << J << a, a >> 4J, and the protocol-length conditions
     Omega*sqrt(L/2) << J and << a.  Never raises; degenerate inputs simply
-    produce failing ratios.  ``fake_window`` is the relative distance to a
-    fake-transition J value below which a flag is raised.
+    produce failing ratios.  ``fake_hits`` lists each fake-transition J value
+    (for L >= 3 and J > 0) within relative distance :data:`FAKE_WINDOW` of
+    ``p.J``; this is also the sweep's ``fake-window`` flag.
     """
     inf = math.inf
     ratios = [
@@ -239,9 +240,9 @@ def validate_selective(
     if p.L >= 3 and p.J > 0:
         for jf in fake_transitions(p):
             rel = abs(p.J - jf) / jf
-            if rel < fake_window:
+            if rel < FAKE_WINDOW:
                 hits.append((jf, rel))
-    return SelectiveReport(checks=checks, fake_hits=tuple(hits), fake_window=fake_window)
+    return SelectiveReport(checks=checks, fake_hits=tuple(hits))
 
 
 def format_protocol_table(prot: Protocol) -> str:

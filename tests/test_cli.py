@@ -1,7 +1,9 @@
 import math
+from pathlib import Path
 
 import pytest
 
+from isingpulse import ChainParams, validate_selective
 from isingpulse.cli import (
     CSV_HEADER,
     EXIT_NUMERICAL,
@@ -10,6 +12,8 @@ from isingpulse.cli import (
     EXIT_VALIDATION,
     main,
 )
+
+GOLDEN = Path(__file__).parent / "data" / "cli"
 
 
 def run_cli(*argv):
@@ -187,6 +191,28 @@ def test_sweep_flags_fake_window_and_cycle_points(tmp_path):
     lines = read(out).strip().splitlines()
     assert "fake-window" in lines[1].split(",")[6]
     assert lines[2].split(",")[6] == ""
+    # The flag is the validator's verdict, over a grid that straddles the
+    # a/4, a/3, a/2 and 2a/3 families at both chain lengths; offsets just
+    # inside and just outside the 2% window pin its edges.
+    grid = sorted((100.0 * r * (1.0 + d), abs(d) < 0.02)
+                  for r in (1 / 4, 1 / 3, 1 / 2, 2 / 3)
+                  for d in (-0.03, -0.021, -0.019, 0.0, 0.019, 0.021, 0.03))
+    for L in (5, 6):
+        out_l = tmp_path / f"grid{L}.csv"
+        assert run_cli(
+            "sweep", "--param", "J", "--values", ",".join(repr(j) for j, _ in grid),
+            "--L", str(L), "--a", "100", "--omega", "0.118",
+            "--propagator", "pert", "--out", str(out_l),
+        ) == EXIT_OK
+        rows = [line.split(",") for line in read(out_l).splitlines()[1:]]
+        flagged = ["fake-window" in row[6].split(";") for row in rows]
+        assert flagged == [inside for _, inside in grid]
+        assert flagged == [
+            bool(validate_selective(
+                ChainParams(L=L, a=100.0, J=float(row[1])), 0.118
+            ).fake_hits)
+            for row in rows
+        ]
     out2 = tmp_path / "s2.csv"
     om2 = 2 * 1.0 / math.sqrt(15.0)  # full-cycle drive for J=1, k=2
     assert run_cli(
@@ -365,3 +391,75 @@ def test_large_chains_fail_per_point_not_at_compile(tmp_path):
         "--omega", "0.118", "--out", str(dump),
     ) == EXIT_OK
     assert len(read(dump).strip().splitlines()) == 1 + 2 * 200 - 2
+
+
+# ---------------------------------------------------------------- golden
+
+# Reference outputs of the invocations below, kept so that a refactor is
+# held to the bytes of the code before it.  A change of output made on
+# purpose regenerates them (``python -m isingpulse <argv> >
+# tests/data/cli/<file>``) and says so in CHANGES.md.
+REF = ("--L", "6", "--J", "1", "--a", "100", "--omega", "0.118")
+GOLDEN_SWEEP = ("sweep", "--param", "J", "--values", "0.8,1.945,24.9,33.4,50.1",
+                "--L", "5", "--propagator", "both", "--order", "block+pt1")
+
+
+@pytest.mark.parametrize("command, name", [
+    ("protocol-dump", "protocol_dump.txt"),
+    ("validate", "validate.txt"),
+    ("chaos", "chaos.txt"),
+])
+def test_reference_outputs_match_golden_bytes(tmp_path, command, name):
+    # No BLAS or vectorised libm on these paths: the bytes are portable.
+    out = tmp_path / name
+    assert run_cli(command, *REF, "--out", str(out)) == EXIT_OK
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_sweep_csv_matches_golden(tmp_path):
+    # Text columns exactly, fidelities to 1e-12 (they pass through BLAS).
+    out = tmp_path / "s.csv"
+    assert run_cli(*GOLDEN_SWEEP, "--out", str(out)) == EXIT_OK
+    got = read(out).splitlines()
+    want = read(GOLDEN / "sweep_J_L5.csv").splitlines()
+    assert got[0] == want[0] == CSV_HEADER
+    assert len(got) == len(want)
+    for g, w in zip(got[1:], want[1:]):
+        g, w = g.split(","), w.split(",")
+        assert [g[i] for i in (0, 1, 5, 6)] == [w[i] for i in (0, 1, 5, 6)]
+        for i in (2, 3, 4):
+            assert (g[i] == w[i] == "") or float(g[i]) == pytest.approx(
+                float(w[i]), rel=0, abs=1e-12)
+
+
+# ---------------------------------------------------------------- bad input
+
+
+@pytest.mark.parametrize("argv", [
+    ("run", "--omega", "0"),
+    ("slope", "--a", "-1", "--from", "3", "--to", "5"),
+    ("protocol-dump", "--omega", "-1"),
+    ("sweep", "--steps=-1", "--from", "1", "--to", "1"),
+    ("run", "--config", "{missing}/cfg.txt"),
+    ("chaos", "--out", "{missing}/x"),
+], ids=["run-omega-0", "slope-a-negative", "dump-omega-negative",
+        "sweep-steps-negative", "missing-config", "missing-out-dir"])
+def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, argv):
+    argv = [arg.format(missing=tmp_path / "missing") for arg in argv]
+    assert run_cli(*argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_sweep_records_invalid_model_values_per_point(tmp_path):
+    out, r = tmp_path / "s.csv", tmp_path / "r.txt"
+    assert run_cli(
+        "sweep", "--param", "a", "--values=-1,0,50", "--L", "4", "--J", "1",
+        "--out", str(out),
+    ) == EXIT_OK
+    rows = [line.split(",") for line in read(out).splitlines()[1:]]
+    assert [row[5] for row in rows] == ["ValueError", "ValueError", "ok"]
+    assert run_cli("run", "--L", "4", "--J", "1", "--a", "50", "--out", str(r)) == EXIT_OK
+    f_run = next(l for l in read(r).splitlines() if l.startswith("f_exact"))
+    assert rows[2][2] == f_run.split(" = ")[1]
