@@ -12,16 +12,17 @@ the sweep continues.
 
 Exit codes: 0 ok, 1 usage error, 2 validation failure under --strict,
 3 numerical failure.  Values outside the model's range (a <= 0, J < 0,
-Omega <= 0, L < 3 for the walk) and unreadable or unwritable files are
-usage errors; in a sweep such values are recorded per point as ValueError
-(or ProtocolError for L < 3).
+Omega <= 0, L < 3 for the walk, a NaN or infinite J, a or omega0), sweep
+--workers < 1, and unreadable or unwritable files are usage errors; in a
+sweep out-of-range values are recorded per point as ValueError (or
+ProtocolError for L < 3).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -226,6 +227,8 @@ def _sweep_values(args) -> list[float]:
 def cmd_sweep(args) -> int:
     if args.param not in ("J", "a", "omega", "L"):
         raise _UsageError(f"cannot sweep parameter {args.param!r}")
+    if args.workers < 1:
+        raise _UsageError(f"--workers must be at least 1, got {args.workers}")
     values = _sweep_values(args)
     base = {
         "L": args.L,
@@ -235,8 +238,13 @@ def cmd_sweep(args) -> int:
         "omega0": args.omega0,
     }
     jobs = [(args.param, v, base, args.propagator, args.order) for v in values]
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    # A fork pool starts all its workers at once: never more than the points
+    # or the CPUs this process may run on.
+    workers = min(args.workers, len(jobs), len(os.sched_getaffinity(0)))
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_point, jobs))
     else:
         rows = [_sweep_point(j) for j in jobs]

@@ -16,6 +16,11 @@ branches right when pulses of different frequencies are chained.  Total
 spin-z takes only the L + 1 values L/2 - c, c the number of excited
 qubits, so each transform evaluates L + 1 exponentials and gathers them
 by the cached per-state count.
+
+scipy is imported bare: its ``linalg`` submodule loads at the first eigh,
+so commands that never take this route (``validate``, ``chaos``, the block
+routes) never pay for it.  The eigh goes through the module-level name
+``scipy`` so that a tracer replacing that one name sees every call.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import scipy
 
 from .basis import NORM_TOL, StateVector, excitation_count, spin_z_levels
 from .errors import CapacityError, FrameError, NumericalError

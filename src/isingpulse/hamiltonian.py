@@ -14,6 +14,7 @@ states that differ by a single spin flip.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -40,6 +41,10 @@ class ChainParams:
     J: float = 0.0
 
     def __post_init__(self):
+        for name in ("omega0", "a", "J"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.L < 1:
             raise ValueError(f"need at least one qubit, got L={self.L}")
         if not self.a > 0:

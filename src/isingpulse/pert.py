@@ -44,6 +44,11 @@ a, ||A/2||_1 peaks at 0.709, at the collisions.  At L = 10 this factor
 holds about 223k nonzeros and takes 29-30 ms a pulse, against 600k and
 143-172 ms for a complex factor in SuperLU's default COLAMD column order.
 At L = 6 the whole Cayley step, LU included, takes 0.55 ms a pulse.
+
+scipy is imported bare: ``scipy.sparse`` and its ``linalg`` load at the
+first pt1 pulse, so the block route never pays for them.  The CSC build
+and the LU go through the module-level name ``scipy`` so that a tracer
+replacing that one name sees every call.
 """
 
 from __future__ import annotations
@@ -53,8 +58,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
+import scipy
 
 from .basis import StateVector
 from .errors import PairingError

@@ -1,8 +1,13 @@
+import concurrent.futures
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import isingpulse
 from isingpulse import ChainParams, validate_selective
 from isingpulse.cli import (
     CSV_HEADER,
@@ -240,6 +245,44 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert read(s1) == read(s2)
 
 
+class _CountingPool:
+    """Stand-in for ProcessPoolExecutor that records its size and maps in
+    this process, so no worker ever starts."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    map = staticmethod(map)
+
+
+@pytest.mark.parametrize("values, workers, cpus, size", [
+    ("1,2", 8, 4, 2),
+    ("1,2,3", 8, 2, 2),
+    ("1,2,3", 2, 4, 2),
+    ("1,2,3", 8, 1, None),
+    ("1", 8, 4, None),
+], ids=["points", "cpus", "requested", "one-cpu-serial", "one-point-serial"])
+def test_sweep_workers_are_bounded_by_points_and_cpus(
+        tmp_path, monkeypatch, values, workers, cpus, size):
+    monkeypatch.setattr(_CountingPool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _CountingPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    args = ("sweep", "--param", "J", "--values", values, "--L", "4")
+    serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
+    assert run_cli(*args, "--out", str(serial)) == EXIT_OK
+    assert run_cli(*args, "--workers", str(workers), "--out", str(pooled)) == EXIT_OK
+    assert _CountingPool.sizes == ([] if size is None else [size])
+    assert read(pooled) == read(serial)
+
+
 def test_slope_command(tmp_path):
     out = tmp_path / "slope.txt"
     code = run_cli(
@@ -416,11 +459,9 @@ def test_reference_outputs_match_golden_bytes(tmp_path, command, name):
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
-def test_sweep_csv_matches_golden(tmp_path):
+def _assert_matches_golden_sweep(text):
     # Text columns exactly, fidelities to 1e-12 (they pass through BLAS).
-    out = tmp_path / "s.csv"
-    assert run_cli(*GOLDEN_SWEEP, "--out", str(out)) == EXIT_OK
-    got = read(out).splitlines()
+    got = text.splitlines()
     want = read(GOLDEN / "sweep_J_L5.csv").splitlines()
     assert got[0] == want[0] == CSV_HEADER
     assert len(got) == len(want)
@@ -430,6 +471,53 @@ def test_sweep_csv_matches_golden(tmp_path):
         for i in (2, 3, 4):
             assert (g[i] == w[i] == "") or float(g[i]) == pytest.approx(
                 float(w[i]), rel=0, abs=1e-12)
+
+
+def test_sweep_csv_matches_golden(tmp_path):
+    out = tmp_path / "s.csv"
+    assert run_cli(*GOLDEN_SWEEP, "--out", str(out)) == EXIT_OK
+    _assert_matches_golden_sweep(read(out))
+
+
+# ---------------------------------------------------------------- fresh process
+
+# This session has imported scipy long ago; a command's own start-up is seen
+# only in a new interpreter.
+_FRESH_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [str(Path(isingpulse.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+_DEFERRED = ("scipy.linalg", "scipy.sparse", "concurrent.futures.process")
+
+
+def _python(*args):
+    proc = subprocess.run([sys.executable, *args], env=_FRESH_ENV,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_fresh_process_sweep_matches_golden():
+    # Here eigh and splu run on scipy modules loaded at their first call.
+    _assert_matches_golden_sweep(_python("-m", "isingpulse", *GOLDEN_SWEEP))
+
+
+@pytest.mark.parametrize("argv", [
+    None,
+    ("validate", *REF),
+    ("chaos", *REF),
+    ("protocol-dump", *REF),
+    ("run", *REF, "--propagator", "pert", "--order", "block"),
+], ids=["import", "validate", "chaos", "protocol-dump", "run-block"])
+def test_cold_start_loads_no_scipy_linalg_sparse_or_process_pool(argv):
+    call = "" if argv is None else (
+        f"assert cli.main({list(argv) + ['--out', os.devnull]!r}) == 0\n")
+    loaded = _python("-c", (
+        "import sys\n"
+        "from isingpulse import cli\n"
+        "cli.make_parser()\n"
+        f"{call}"
+        f"print(*[m for m in {_DEFERRED!r} if m in sys.modules])\n"
+    ))
+    assert loaded.split() == []
 
 
 # ---------------------------------------------------------------- bad input
@@ -442,8 +530,10 @@ def test_sweep_csv_matches_golden(tmp_path):
     ("sweep", "--steps=-1", "--from", "1", "--to", "1"),
     ("run", "--config", "{missing}/cfg.txt"),
     ("chaos", "--out", "{missing}/x"),
+    ("sweep", "--values", "1,2", "--workers", "0"),
 ], ids=["run-omega-0", "slope-a-negative", "dump-omega-negative",
-        "sweep-steps-negative", "missing-config", "missing-out-dir"])
+        "sweep-steps-negative", "missing-config", "missing-out-dir",
+        "sweep-workers-0"])
 def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, argv):
     argv = [arg.format(missing=tmp_path / "missing") for arg in argv]
     assert run_cli(*argv) == EXIT_USAGE
@@ -463,3 +553,21 @@ def test_sweep_records_invalid_model_values_per_point(tmp_path):
     assert run_cli("run", "--L", "4", "--J", "1", "--a", "50", "--out", str(r)) == EXIT_OK
     f_run = next(l for l in read(r).splitlines() if l.startswith("f_exact"))
     assert rows[2][2] == f_run.split(" = ")[1]
+
+
+@pytest.mark.parametrize("flags, field", [
+    (("--J", "nan"), "J"),
+    (("--J", "1", "--a", "inf"), "a"),
+    (("--J", "1", "--omega0", "nan"), "omega0"),
+], ids=["J-nan", "a-inf", "omega0-nan"])
+def test_non_finite_model_values_are_usage_errors(capsys, flags, field):
+    assert run_cli("run", "--L", "4", *flags) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == f"error: {field} must be finite, got {flags[-1]}\n"
+
+
+def test_sweep_records_non_finite_values_per_point(tmp_path):
+    out = tmp_path / "s.csv"
+    assert run_cli("sweep", "--param", "J", "--values", "nan", "--L", "4",
+                   "--out", str(out)) == EXIT_OK
+    assert read(out).splitlines()[1:] == ["J,nan,,,,ValueError,"]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -268,3 +270,12 @@ def test_chain_params_validation():
         ChainParams(L=3, a=1.0, J=-0.1)
     with pytest.raises(ValueError):
         ChainParams(L=0, a=1.0)
+
+
+@pytest.mark.parametrize("field", ["J", "a", "omega0"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_chain_params_reject_non_finite_values(field, value):
+    kw = dict(L=4, omega0=0.0, a=100.0, J=1.0)
+    kw[field] = value
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        ChainParams(**kw)
