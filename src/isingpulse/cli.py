@@ -219,7 +219,8 @@ def _sweep_values(args) -> list[float]:
         if args.steps < 2 and args.lo != args.hi:
             raise _UsageError("sweep ranges need steps >= 2")
         vals = list(np.linspace(args.lo, args.hi, args.steps))
-    if any(b <= a for a, b in zip(vals, vals[1:])):
+    # Written so that a NaN, which compares False both ways, fails it.
+    if any(not b > a for a, b in zip(vals, vals[1:])):
         raise _UsageError("swept values must be strictly increasing")
     return vals
 

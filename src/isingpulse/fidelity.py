@@ -65,7 +65,15 @@ def _block_phases(Omega, Delta, tau, e_m, e_p):
 
 
 def build_ideal_state(prot: Protocol) -> StateVector:
-    """Phase-corrected two-component target of the entanglement walk."""
+    """Phase-corrected two-component target of the entanglement walk.
+
+    The state starts as |0...0> and each pulse's intended transition adds
+    at most one nonzero amplitude, so it never holds more than
+    ``len(prot.pulses) + 1`` of them.  Each step therefore evaluates the
+    block phases and singleton exponentials only for the pairs and
+    singletons that hold a nonzero amplitude; every other entry is zero
+    and stays zero.
+    """
     if prot.kind != ENTANGLE_KIND or any(pu.target is None for pu in prot.pulses):
         raise ProtocolError(
             "the ideal state is defined for the built-in entanglement walk"
@@ -79,13 +87,16 @@ def build_ideal_state(prot: Protocol) -> StateVector:
         part = partition_blocks(pulse, p)
         out = amps.copy()
         tau = pulse.duration
-        # Every block contributes phases only, magnitudes kept.
+        live = amps != 0
+        # Every live block contributes phases only, magnitudes kept.
+        in_live = live[part.m_idx] | live[part.p_idx]
+        m, q = part.m_idx[in_live], part.p_idx[in_live]
         ph_m, ph_p = _block_phases(
-            pulse.Omega, part.delta, tau, part.e_rot[part.m_idx], part.e_rot[part.p_idx]
+            pulse.Omega, part.delta[in_live], tau, part.e_rot[m], part.e_rot[q]
         )
-        out[part.m_idx] = amps[part.m_idx] * ph_m
-        out[part.p_idx] = amps[part.p_idx] * ph_p
-        s = part.singletons
+        out[m] = amps[m] * ph_m
+        out[q] = amps[q] * ph_p
+        s = part.singletons[live[part.singletons]]
         out[s] = amps[s] * np.exp(-1j * part.e_rot[s] * tau)
         # The intended transition acts in full (resonant by construction).
         d = part.e_rot[pp] - part.e_rot[mm]

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache, partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -59,25 +60,9 @@ class ChainParams:
         return self.omega0 + self.a * k
 
 
-def h0_energy_table(p: ChainParams, idx=None) -> np.ndarray:
-    """Lab-frame static energies of the basis states ``idx`` (vectorized).
-
-    Without ``idx``, all 2^L states in index order.  A subset costs
-    O(L * len(idx)) and no 2^L array, and each entry is computed by the same
-    operations in the same order as in the full table, so it agrees with
-    the full table's entry bit for bit.
-    """
-    if idx is None:
-        def column(k):
-            return spin_z_column(p.L, k)
-        e = np.zeros(1 << p.L)
-    else:
-        # Indices of chains longer than int64 holds stay Python ints.
-        idx = np.asarray(idx, dtype=np.int64 if p.L < 63 else object)
-
-        def column(k):
-            return 0.5 - ((idx >> k) & 1).astype(float)
-        e = np.zeros(idx.shape)
+def _h0_energies(p: ChainParams, column, size) -> np.ndarray:
+    """Lab-frame static energies from the spin-z ``column(k)`` of each site."""
+    e = np.zeros(size)
     for k in range(p.L):
         e -= p.omega(k) * column(k)
     for k in range(p.L - 1):
@@ -85,13 +70,43 @@ def h0_energy_table(p: ChainParams, idx=None) -> np.ndarray:
     return e
 
 
+@lru_cache(maxsize=1)
+def _static_energy_table(p: ChainParams) -> np.ndarray:
+    """Read-only lab-frame energies of all 2^L states, kept for the last
+    chain asked: every pulse of a run reads the same table."""
+    e = _h0_energies(p, partial(spin_z_column, p.L), 1 << p.L)
+    e.setflags(write=False)
+    return e
+
+
+def h0_energy_table(p: ChainParams, idx=None) -> np.ndarray:
+    """Lab-frame static energies of the basis states ``idx`` (vectorized).
+
+    Without ``idx``, all 2^L states in index order, as a fresh writable
+    copy of the cached table.  A subset costs O(L * len(idx)) and no 2^L
+    array, and each entry is computed by the same operations in the same
+    order as in the full table, so it agrees with the full table's entry
+    bit for bit.
+    """
+    if idx is None:
+        return _static_energy_table(p).copy()
+    # Indices of chains longer than int64 holds stay Python ints.
+    idx = np.asarray(idx, dtype=np.int64 if p.L < 63 else object)
+
+    def column(k):
+        return 0.5 - ((idx >> k) & 1).astype(float)
+    return _h0_energies(p, column, idx.shape)
+
+
 def rotating_energy_table(p: ChainParams, nu: float) -> np.ndarray:
     """Diagonal of the rotating-frame Hamiltonian for drive frequency nu.
 
     Equals the static diagonal with every w_k replaced by xi_k = w_k - nu,
-    i.e. the lab energies shifted by nu times the total spin-z.
+    i.e. the lab energies shifted by nu times the total spin-z.  The lab
+    energies are built once per chain and cached read-only, so a call costs
+    one O(2^L) multiply-add; the result is a fresh array.
     """
-    return h0_energy_table(p) + nu * total_spin_z(p.L)
+    return _static_energy_table(p) + nu * total_spin_z(p.L)
 
 
 @dataclass(frozen=True)

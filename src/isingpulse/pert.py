@@ -166,12 +166,16 @@ def partition_blocks(
     Candidate pairs are the single-flip pairs whose rotating-frame detuning
     has magnitude at most ``threshold``, in order of increasing |detuning|.
     In the selective regime no state lies in two candidate pairs, so the
-    candidates already form a matching and all of them are taken.  Only
-    when some state has two candidates are they matched greedily in that
-    order, a state keeping its best partner that is still free.  With
-    ``strict`` a state whose closest candidate is taken by a better match
-    raises :class:`PairingError` instead of falling through to its next
-    candidate or a singleton.
+    candidates already form a matching and all of them are taken: every
+    in-threshold state keeps its one candidate, ``n_conflicts`` is 0 and
+    no per-state bookkeeping runs.  Only when some state has two
+    candidates are they matched greedily in that order, a state keeping
+    its best partner that is still free.  Then ``n_conflicts`` counts the
+    in-threshold states that lost their closest candidate, and with
+    ``strict`` the first of them raises :class:`PairingError` instead of
+    falling through to its next candidate or a singleton.  Flips outside
+    the threshold take no part in that count: they cannot put a state in
+    threshold, nor tie with an in-threshold |detuning|.
     """
     if threshold is None:
         threshold = default_threshold(p)
@@ -180,7 +184,6 @@ def partition_blocks(
     e_rot = rotating_energy_table(p, pulse.nu)
 
     pair_m, pair_p, pair_d = [], [], []
-    best_abs = np.full(n, np.inf)
     for k in range(L):
         # Axis 1 of these views is bit k: [:, 0] holds the states with it
         # clear, in ascending order, and [:, 1] their flip partners.
@@ -188,11 +191,7 @@ def partition_blocks(
         shape = (n >> (k + 1), 2, bit)
         e = e_rot.reshape(shape)
         d_lo = e[:, 1] - e[:, 0]
-        abs_d = np.abs(d_lo)
-        best = best_abs.reshape(shape)
-        np.minimum(best[:, 0], abs_d, out=best[:, 0])
-        np.minimum(best[:, 1], abs_d, out=best[:, 1])
-        keep = abs_d <= threshold
+        keep = np.abs(d_lo) <= threshold
         lo = idx.reshape(shape)[:, 0][keep]
         pair_m.append(lo)
         pair_p.append(lo ^ bit)
@@ -200,10 +199,12 @@ def partition_blocks(
     cand_m = np.concatenate(pair_m)
     cand_p = np.concatenate(pair_p)
     cand_d = np.concatenate(pair_d)
+    cand_abs = np.abs(cand_d)
 
     # Ascending |Delta|, ties broken by state indices for determinism.
-    order = np.lexsort((cand_p, cand_m, np.abs(cand_d)))
-    if np.bincount(np.concatenate([cand_m, cand_p]), minlength=n).max() > 1:
+    order = np.lexsort((cand_p, cand_m, cand_abs))
+    greedy = np.bincount(np.concatenate([cand_m, cand_p]), minlength=n).max() > 1
+    if greedy:
         order = _greedy_matching(order, cand_m, cand_p)
     m_idx = cand_m[order]
     p_idx = cand_p[order]
@@ -211,22 +212,27 @@ def partition_blocks(
     taken = np.zeros(n, dtype=bool)
     taken[m_idx] = taken[p_idx] = True
 
-    # A state is "conflicted" when its closest transition was within the
-    # threshold but it did not end up paired through it; a paired state is
-    # "happy" when its pair's |Delta| is that closest one.
-    in_thr = best_abs <= threshold
-    happy = np.zeros(n, dtype=bool)
-    abs_delta = np.abs(delta)
-    happy[m_idx] = abs_delta == best_abs[m_idx]
-    happy[p_idx] = abs_delta == best_abs[p_idx]
-    n_conflicts = int(np.count_nonzero(in_thr & ~happy))
-    if strict and n_conflicts:
-        bad = idx[in_thr & ~happy][0]
-        raise PairingError(
-            f"state {bad} has an in-threshold closest partner that paired "
-            f"elsewhere (nu={pulse.nu}, threshold={threshold}); the two-level "
-            "partition is ambiguous here"
-        )
+    n_conflicts = 0
+    if greedy:
+        # A state is "conflicted" when its closest transition was within
+        # the threshold but it did not end up paired through it; a paired
+        # state is "happy" when its pair's |Delta| is that closest one.
+        best_abs = np.full(n, np.inf)
+        np.minimum.at(best_abs, cand_m, cand_abs)
+        np.minimum.at(best_abs, cand_p, cand_abs)
+        in_thr = best_abs <= threshold
+        happy = np.zeros(n, dtype=bool)
+        abs_delta = cand_abs[order]
+        happy[m_idx] = abs_delta == best_abs[m_idx]
+        happy[p_idx] = abs_delta == best_abs[p_idx]
+        n_conflicts = int(np.count_nonzero(in_thr & ~happy))
+        if strict and n_conflicts:
+            bad = idx[in_thr & ~happy][0]
+            raise PairingError(
+                f"state {bad} has an in-threshold closest partner that paired "
+                f"elsewhere (nu={pulse.nu}, threshold={threshold}); the "
+                "two-level partition is ambiguous here"
+            )
 
     return BlockPartition(
         L=L,

@@ -531,9 +531,10 @@ def test_cold_start_loads_no_scipy_linalg_sparse_or_process_pool(argv):
     ("run", "--config", "{missing}/cfg.txt"),
     ("chaos", "--out", "{missing}/x"),
     ("sweep", "--values", "1,2", "--workers", "0"),
+    ("sweep", "--L", "4", "--param", "J", "--values", "2,nan,1"),
 ], ids=["run-omega-0", "slope-a-negative", "dump-omega-negative",
         "sweep-steps-negative", "missing-config", "missing-out-dir",
-        "sweep-workers-0"])
+        "sweep-workers-0", "sweep-values-nan"])
 def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, argv):
     argv = [arg.format(missing=tmp_path / "missing") for arg in argv]
     assert run_cli(*argv) == EXIT_USAGE

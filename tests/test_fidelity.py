@@ -22,6 +22,7 @@ from isingpulse import (
     two_pi_k_omega,
 )
 from isingpulse.exact import propagate_protocol
+from isingpulse.fidelity import _block_phases
 from isingpulse.pert import _block_u, partition_blocks
 from isingpulse.protocol import Protocol
 
@@ -122,6 +123,48 @@ def test_ideal_state_matches_block_u_reference(L):
             new = build_ideal_state(prot).amplitudes
             ref = _reference_ideal_state(prot).amplitudes
             assert np.max(np.abs(new - ref)) < 1e-13, f"L={L} J={J} mirror={mirror}"
+
+
+def _all_blocks_ideal_state(prot):
+    """The ideal step with the phases of every pair and singleton
+    evaluated, zero amplitudes included."""
+    p = prot.params
+
+    def step(amps, pulse):
+        src, k = pulse.target
+        tgt = src.index ^ (1 << k)
+        mm, pp = min(src.index, tgt), max(src.index, tgt)
+        part = partition_blocks(pulse, p)
+        out = amps.copy()
+        tau = pulse.duration
+        ph_m, ph_p = _block_phases(
+            pulse.Omega, part.delta, tau, part.e_rot[part.m_idx], part.e_rot[part.p_idx]
+        )
+        out[part.m_idx] = amps[part.m_idx] * ph_m
+        out[part.p_idx] = amps[part.p_idx] * ph_p
+        s = part.singletons
+        out[s] = amps[s] * np.exp(-1j * part.e_rot[s] * tau)
+        d = part.e_rot[pp] - part.e_rot[mm]
+        v11, v12, v21, v22 = _block_u(pulse.Omega, d, tau, part.e_rot[mm], part.e_rot[pp])
+        am, ap = amps[mm], amps[pp]
+        out[mm] = v11 * am + v12 * ap
+        out[pp] = v21 * am + v22 * ap
+        return out
+
+    return propagate_protocol(ground_state(p.L), prot, step)
+
+
+@pytest.mark.parametrize("L", [13, 15])
+def test_ideal_state_holds_one_amplitude_per_pulse_and_matches_all_blocks(L):
+    # |0...0> plus at most one amplitude per pulse, so the phases of the
+    # zero entries need not be evaluated.
+    for mirror in (False, True):
+        p = ChainParams(L=L, omega0=100.0 if mirror else 0.0, a=100.0, J=1.945)
+        prot = build_entanglement_protocol(p, 0.118, mirror=mirror)
+        new = build_ideal_state(prot).amplitudes
+        assert np.count_nonzero(new) <= len(prot.pulses) + 1
+        ref = _all_blocks_ideal_state(prot).amplitudes
+        assert np.max(np.abs(new - ref)) < 1e-15, f"L={L} mirror={mirror}"
 
 
 def test_ideal_state_rejects_custom_protocols():

@@ -13,7 +13,13 @@ from isingpulse import (
     flip,
     spin_z,
 )
-from isingpulse.hamiltonian import h0_energy_table, rotating_energy_table
+from isingpulse import protocol_fidelity
+from isingpulse.basis import total_spin_z
+from isingpulse.hamiltonian import (
+    _static_energy_table,
+    h0_energy_table,
+    rotating_energy_table,
+)
 
 from chain_helpers import single_flip_deltas, xi
 
@@ -73,6 +79,39 @@ def test_h0_subset_beyond_int64_chains():
     e = h0_energy_table(p, [0, (1 << L) - 1])
     assert e[0] == pytest.approx(-zeeman - ising, abs=1e-9)
     assert e[1] == pytest.approx(zeeman - ising, abs=1e-9)
+
+
+def test_one_static_table_per_protocol_run():
+    # Every pulse of both routes, and the ideal state, read the one cached
+    # table of the chain.
+    p = ChainParams(L=8, omega0=0.0, a=100.0, J=1.945)
+    _static_energy_table.cache_clear()
+    protocol_fidelity(p, 0.118, "both", "block+pt1")
+    assert _static_energy_table.cache_info().misses == 1
+
+
+def test_h0_table_is_a_writable_copy_of_the_cache():
+    p = ChainParams(L=6, omega0=0.5, a=3.0, J=0.7)
+    before = rotating_energy_table(p, 1.7)
+    table = h0_energy_table(p)
+    assert table.flags.writeable
+    table += 1.0
+    assert rotating_energy_table(p, 1.7).tobytes() == before.tobytes()
+    assert h0_energy_table(p).tobytes() == (table - 1.0).tobytes()
+
+
+@pytest.mark.parametrize("L", range(1, 13))
+def test_rotating_table_is_static_table_plus_spin_shift_bit_for_bit(L):
+    # Two chains in turn, so the one-entry cache is evicted between them;
+    # the subset path over every index builds the table without the cache.
+    chains = [ChainParams(L=L, omega0=w0, a=1.3, J=J) for w0, J in ((0.2, 0.4), (5.0, 1.1))]
+    for _ in range(2):
+        for p in chains:
+            nu = p.omega(L // 2)
+            want = h0_energy_table(p) + nu * total_spin_z(L)
+            assert rotating_energy_table(p, nu).tobytes() == want.tobytes()
+            fresh = h0_energy_table(p, np.arange(1 << L))
+            assert h0_energy_table(p).tobytes() == fresh.tobytes()
 
 
 # ------------------------------------------------- single-flip deltas
