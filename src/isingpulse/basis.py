@@ -4,7 +4,8 @@ Basis states are labelled by integers whose binary digits give the state of
 each qubit: bit k = 0 means qubit k is in its single-particle ground state
 (spin-z eigenvalue +1/2), bit k = 1 means it is excited (-1/2).  The
 all-zero string is therefore the lowest configuration of the static field
-term, and flipping one bit changes exactly one spin.
+term, and flipping one bit changes exactly one spin.  Per-state spin values
+are cached only as excitation counts and the L + 1 total spin-z levels.
 """
 
 from __future__ import annotations
@@ -61,26 +62,8 @@ def flip(s: BasisState, k: int) -> BasisState:
 
 
 @lru_cache(maxsize=64)
-def spin_z_column(L: int, k: int) -> np.ndarray:
-    """Vector of spin-z values of qubit k over all 2^L basis states."""
-    idx = np.arange(1 << L)
-    col = 0.5 - ((idx >> k) & 1).astype(float)
-    col.setflags(write=False)
-    return col
-
-
-@lru_cache(maxsize=64)
-def total_spin_z(L: int) -> np.ndarray:
-    """Vector of total spin-z (sum over qubits) for all basis states."""
-    tot = sum(spin_z_column(L, k) for k in range(L))
-    tot.setflags(write=False)
-    return tot
-
-
-@lru_cache(maxsize=64)
 def excitation_count(L: int) -> np.ndarray:
-    """Vector of the number of excited qubits (set bits) of every basis
-    state; ``total_spin_z(L)`` equals ``spin_z_levels(L)[excitation_count(L)]``."""
+    """Number of excited qubits (set bits) of every basis state."""
     cnt = np.bitwise_count(np.arange(1 << L))
     cnt.setflags(write=False)
     return cnt
@@ -92,6 +75,15 @@ def spin_z_levels(L: int) -> np.ndarray:
     levels = 0.5 * L - np.arange(L + 1)
     levels.setflags(write=False)
     return levels
+
+
+@lru_cache(maxsize=64)
+def total_spin_z(L: int) -> np.ndarray:
+    """Total spin-z of every basis state, gathered from the L + 1 levels;
+    kept as an array because every rotating energy table multiplies it."""
+    tot = spin_z_levels(L)[excitation_count(L)]
+    tot.setflags(write=False)
+    return tot
 
 
 @dataclass(frozen=True)

@@ -191,6 +191,8 @@ def _sweep_point(job) -> str:
     J, omega = kw["J"], kw["omega"]
     flags = []
     try:
+        if not float(kw["L"]).is_integer():
+            raise ValueError(f"chain length L must be an integer, got {kw['L']}")
         params = ChainParams(L=int(kw["L"]), omega0=kw["omega0"], a=kw["a"], J=J)
         if validate_selective(params, omega).fake_hits:
             flags.append("fake-window")

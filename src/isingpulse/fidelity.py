@@ -190,15 +190,20 @@ def protocol_fidelity(
     """Build the walk, run the requested propagator(s), and score the result."""
     if propagator not in ("exact", "pert", "both"):
         raise ValueError(f"unknown propagator {propagator!r}")
+    # The caps come before costly work: the state-vector cap before the
+    # walk compiles, the dense cap (in run_protocol) before the ideal state.
+    # Each route still gets a fresh ground state: one held across the whole
+    # run makes a block run at L = 13-15 fault in a third more pages.
+    ground_state(p.L)
     prot = build_entanglement_protocol(p, Omega, mirror=mirror)
-    psi_i = build_ideal_state(prot)
-    f_exact = f_pert = psi_r = psi_p = None
+    psi_r = psi_p = None
     if propagator in ("exact", "both"):
         psi_r = run_protocol(ground_state(p.L), prot)
-        f_exact = dynamical_fidelity(psi_i, psi_r)
     if propagator in ("pert", "both"):
         psi_p = run_protocol_pert(ground_state(p.L), prot, order)
-        f_pert = dynamical_fidelity(psi_i, psi_p)
+    psi_i = build_ideal_state(prot)
+    f_exact = None if psi_r is None else dynamical_fidelity(psi_i, psi_r)
+    f_pert = None if psi_p is None else dynamical_fidelity(psi_i, psi_p)
     if f_exact is not None and not -1e-12 <= f_exact <= 1.0 + 1e-12:
         raise NumericalError(f"fidelity {f_exact} outside [0, 1]")
     return FidelityReport(

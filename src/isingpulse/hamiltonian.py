@@ -17,12 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .basis import spin_z_column, total_spin_z
+from .basis import total_spin_z
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from .protocol import Pulse
@@ -60,13 +60,23 @@ class ChainParams:
         return self.omega0 + self.a * k
 
 
-def _h0_energies(p: ChainParams, column, size) -> np.ndarray:
-    """Lab-frame static energies from the spin-z ``column(k)`` of each site."""
-    e = np.zeros(size)
+def _h0_energies(p: ChainParams, idx) -> np.ndarray:
+    """Lab-frame static energies of the basis states ``idx``, the package's
+    one energy evaluator: every field term, then every coupling term."""
+    # Indices of chains longer than int64 holds stay Python ints.
+    idx = np.asarray(idx, dtype=np.int64 if p.L < 63 else object)
+
+    def column(k):
+        # float even for Python-int indices, or ``e -=`` cannot cast.
+        return 0.5 - ((idx >> k) & 1).astype(float)
+
+    e = np.zeros(idx.shape)
     for k in range(p.L):
         e -= p.omega(k) * column(k)
+    right = column(0)  # each column is built once per loop
     for k in range(p.L - 1):
-        e -= 2.0 * p.J * column(k) * column(k + 1)
+        left, right = right, column(k + 1)
+        e -= 2.0 * p.J * left * right
     return e
 
 
@@ -74,7 +84,7 @@ def _h0_energies(p: ChainParams, column, size) -> np.ndarray:
 def _static_energy_table(p: ChainParams) -> np.ndarray:
     """Read-only lab-frame energies of all 2^L states, kept for the last
     chain asked: every pulse of a run reads the same table."""
-    e = _h0_energies(p, partial(spin_z_column, p.L), 1 << p.L)
+    e = _h0_energies(p, np.arange(1 << p.L))
     e.setflags(write=False)
     return e
 
@@ -84,18 +94,11 @@ def h0_energy_table(p: ChainParams, idx=None) -> np.ndarray:
 
     Without ``idx``, all 2^L states in index order, as a fresh writable
     copy of the cached table.  A subset costs O(L * len(idx)) and no 2^L
-    array, and each entry is computed by the same operations in the same
-    order as in the full table, so it agrees with the full table's entry
-    bit for bit.
+    array; it comes from the table's evaluator, so it agrees bit for bit.
     """
     if idx is None:
         return _static_energy_table(p).copy()
-    # Indices of chains longer than int64 holds stay Python ints.
-    idx = np.asarray(idx, dtype=np.int64 if p.L < 63 else object)
-
-    def column(k):
-        return 0.5 - ((idx >> k) & 1).astype(float)
-    return _h0_energies(p, column, idx.shape)
+    return _h0_energies(p, idx)
 
 
 def rotating_energy_table(p: ChainParams, nu: float) -> np.ndarray:

@@ -10,6 +10,18 @@ from isingpulse import BasisState, ChainParams, RotFrameHam, h0_energy_table
 from isingpulse.protocol import Protocol
 
 
+def spin_z_columns(L: int) -> list[np.ndarray]:
+    """Spin-z of each qubit k over all 2^L states, as the tensor product
+    1 x ... x diag(+1/2, -1/2) x ... x 1 with qubit k on bit k of the index."""
+    return [np.kron(np.ones(1 << (L - 1 - k)), np.kron([0.5, -0.5], np.ones(1 << k)))
+            for k in range(L)]
+
+
+def total_spin_z(L: int) -> np.ndarray:
+    """Total spin-z of every basis state: the sum of the qubit columns."""
+    return sum(spin_z_columns(L))
+
+
 def single_flip_deltas(s: BasisState, p: ChainParams) -> list[tuple[int, float]]:
     """|E0(flip(s,k)) - E0(s)| for every qubit k, by direct evaluation.
 

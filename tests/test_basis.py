@@ -11,7 +11,7 @@ from isingpulse import (
     ground_state,
     spin_z,
 )
-from isingpulse.basis import spin_z_column, total_spin_z
+from isingpulse.basis import total_spin_z
 
 
 def test_spin_z_all_ground():
@@ -114,13 +114,13 @@ def test_frame_contract_helpers():
         rot.require_rotating(2.6)
 
 
-def test_spin_z_column_matches_scalar():
-    L = 4
-    for k in range(L):
-        col = spin_z_column(L, k)
-        for i in range(1 << L):
-            assert col[i] == spin_z(BasisState(i, L), k)
+@pytest.mark.parametrize("L", range(1, 7))
+def test_total_spin_z_matches_summed_scalar(L):
     tot = total_spin_z(L)
+    assert not tot.flags.writeable
+    for i in range(1 << L):
+        s = BasisState(i, L)
+        assert tot[i] == sum(spin_z(s, k) for k in range(L))
     assert tot[0] == L / 2
     assert tot[(1 << L) - 1] == -L / 2
 

@@ -459,10 +459,10 @@ def test_reference_outputs_match_golden_bytes(tmp_path, command, name):
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
-def _assert_matches_golden_sweep(text):
+def _assert_matches_golden_sweep(text, name="sweep_J_L5.csv"):
     # Text columns exactly, fidelities to 1e-12 (they pass through BLAS).
     got = text.splitlines()
-    want = read(GOLDEN / "sweep_J_L5.csv").splitlines()
+    want = read(GOLDEN / name).splitlines()
     assert got[0] == want[0] == CSV_HEADER
     assert len(got) == len(want)
     for g, w in zip(got[1:], want[1:]):
@@ -477,6 +477,14 @@ def test_sweep_csv_matches_golden(tmp_path):
     out = tmp_path / "s.csv"
     assert run_cli(*GOLDEN_SWEEP, "--out", str(out)) == EXIT_OK
     _assert_matches_golden_sweep(read(out))
+
+
+def test_block_sweep_past_dense_cap_matches_golden(tmp_path):
+    out = tmp_path / "s.csv"
+    assert run_cli("sweep", "--param", "L", "--values", "11,12,13", "--J", "1.945",
+                   "--propagator", "pert", "--order", "block",
+                   "--out", str(out)) == EXIT_OK
+    _assert_matches_golden_sweep(read(out), "sweep_L11_13_block.csv")
 
 
 # ---------------------------------------------------------------- fresh process
@@ -565,6 +573,21 @@ def test_non_finite_model_values_are_usage_errors(capsys, flags, field):
     assert run_cli("run", "--L", "4", *flags) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err == f"error: {field} must be finite, got {flags[-1]}\n"
+
+
+@pytest.mark.parametrize("spec, want", [
+    (("--values", "4,inf"), [("4", "ok"), ("inf", "ValueError")]),
+    (("--from", "4", "--to", "6", "--steps", "4"),
+     [("4", "ok"), ("4.666666666666667", "ValueError"),
+      ("5.333333333333333", "ValueError"), ("6", "ok")]),
+], ids=["infinite", "fractional"])
+def test_sweep_records_non_integer_chain_lengths_per_point(tmp_path, spec, want):
+    out = tmp_path / "s.csv"
+    assert run_cli("sweep", "--param", "L", *spec, "--J", "1", "--a", "100",
+                   "--omega", "0.118", "--out", str(out)) == EXIT_OK
+    rows = [line.split(",") for line in read(out).splitlines()[1:]]
+    assert [(r[1], r[5]) for r in rows] == want
+    assert all(r[2] == "" for r in rows if r[5] != "ok")
 
 
 def test_sweep_records_non_finite_values_per_point(tmp_path):

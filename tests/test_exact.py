@@ -24,8 +24,9 @@ from isingpulse import (
     to_rotating,
 )
 from isingpulse import exact
-from isingpulse.basis import total_spin_z
 from isingpulse.exact import PulsePropagator, propagate_protocol
+
+from chain_helpers import total_spin_z
 
 
 def _unitarity_defect(prop, tau, n_samples=8):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from isingpulse import (
+    CapacityError,
     ChainParams,
     FrameError,
     ProtocolError,
@@ -21,6 +22,7 @@ from isingpulse import (
     spectator_detunings,
     two_pi_k_omega,
 )
+from isingpulse import fidelity
 from isingpulse.exact import propagate_protocol
 from isingpulse.fidelity import _block_phases
 from isingpulse.pert import _block_u, partition_blocks
@@ -320,3 +322,17 @@ def test_report_fields():
     assert rep.total_time == pytest.approx(
         math.pi / (2 * 0.118) + 9 * math.pi / 0.118
     )
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("reached past a capacity check")
+
+
+@pytest.mark.parametrize("stage, L, propagator", [
+    ("build_entanglement_protocol", 21, "pert"),
+    ("build_ideal_state", 15, "exact"),
+], ids=["state-cap-before-compile", "dense-cap-before-ideal-state"])
+def test_capacity_errors_come_before_costly_work(monkeypatch, stage, L, propagator):
+    monkeypatch.setattr(fidelity, stage, _never_called)
+    with pytest.raises(CapacityError):
+        protocol_fidelity(ChainParams(L=L, a=100.0, J=1.0), 0.118, propagator)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,15 +14,14 @@ from isingpulse import (
     flip,
     spin_z,
 )
-from isingpulse import protocol_fidelity
-from isingpulse.basis import total_spin_z
+from isingpulse import basis, protocol_fidelity
 from isingpulse.hamiltonian import (
     _static_energy_table,
     h0_energy_table,
     rotating_energy_table,
 )
 
-from chain_helpers import single_flip_deltas, xi
+from chain_helpers import single_flip_deltas, spin_z_columns, total_spin_z, xi
 
 
 def _pulse(nu, Omega, phi=0.0):
@@ -88,6 +88,37 @@ def test_one_static_table_per_protocol_run():
     _static_energy_table.cache_clear()
     protocol_fidelity(p, 0.118, "both", "block+pt1")
     assert _static_energy_table.cache_info().misses == 1
+
+
+def test_protocol_run_keeps_no_per_qubit_columns():
+    # After a run only O(2^L) per-state arrays stay cached (the static
+    # table, the total spin-z and the excitation counts), not L columns.
+    for cached in (_static_energy_table, basis.total_spin_z,
+                   basis.excitation_count, basis.spin_z_levels):
+        cached.cache_clear()
+    L = 16
+    tracemalloc.start()
+    try:
+        protocol_fidelity(ChainParams(L=L, omega0=0.0, a=100.0, J=1.945), 0.118,
+                          "pert", "block")
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 3 * (1 << L) * 8
+
+
+@pytest.mark.parametrize("L", range(1, 16))
+def test_h0_table_matches_per_qubit_construction_bit_for_bit(L):
+    # Fields first, then couplings, in site order, from independent columns.
+    cols = spin_z_columns(L)
+    for p in (ChainParams(L=L, omega0=0.3, a=1.7, J=0.45),
+              ChainParams(L=L, omega0=0.0, a=100.0, J=1.945)):
+        want = np.zeros(1 << L)
+        for k in range(L):
+            want -= p.omega(k) * cols[k]
+        for k in range(L - 1):
+            want -= 2.0 * p.J * cols[k] * cols[k + 1]
+        assert h0_energy_table(p).tobytes() == want.tobytes()
 
 
 def test_h0_table_is_a_writable_copy_of_the_cache():
