@@ -18,7 +18,6 @@ from .errors import (
     CapacityError,
     FrameError,
     NumericalError,
-    PairingError,
     ProtocolError,
     SpinChainError,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "FidelityReport",
     "FrameError",
     "NumericalError",
-    "PairingError",
     "PredictedFidelity",
     "Protocol",
     "ProtocolError",

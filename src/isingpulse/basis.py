@@ -128,12 +128,17 @@ class StateVector:
             )
 
 
+def check_state_capacity(L: int) -> None:
+    """Raise :class:`CapacityError` when a 2^L state vector exceeds the cap."""
+    if L > MAX_QUBITS_STATE:
+        raise CapacityError(f"L={L} exceeds the state-vector cap {MAX_QUBITS_STATE}")
+
+
 def ground_state(L: int) -> StateVector:
     """Lab-frame |0...0> at time zero."""
     if L < 1:
         raise ValueError(f"need at least one qubit, got L={L}")
-    if L > MAX_QUBITS_STATE:
-        raise CapacityError(f"L={L} exceeds the state-vector cap {MAX_QUBITS_STATE}")
+    check_state_capacity(L)
     amps = np.zeros(1 << L, dtype=complex)
     amps[0] = 1.0
     return StateVector(amps, time=0.0, rot_nu=None)

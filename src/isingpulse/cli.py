@@ -26,7 +26,7 @@ import sys
 
 import numpy as np
 
-from .basis import format_state_table
+from .basis import check_state_capacity, format_state_table
 from .errors import ProtocolError, SpinChainError
 from .fidelity import protocol_fidelity
 from .hamiltonian import ChainParams, chaos_border
@@ -130,15 +130,6 @@ def _write(args, text: str):
         sys.stdout.write(text)
 
 
-def _validation_gate(args, params, omega) -> int | None:
-    report = validate_selective(params, omega)
-    if args.strict and report.failed:
-        sys.stderr.write("selective-regime validation failed:\n")
-        sys.stderr.write(_format_validation(report))
-        return EXIT_VALIDATION
-    return None
-
-
 def _format_validation(report) -> str:
     lines = []
     for c in report.checks:
@@ -154,9 +145,14 @@ def _format_validation(report) -> str:
 
 def cmd_run(args) -> int:
     params = _chain(args)
-    gate = _validation_gate(args, params, args.omega)
-    if gate is not None:
-        return gate
+    if args.strict:
+        # The cap first: the fake-transition list costs O(L).
+        check_state_capacity(params.L)
+        check = validate_selective(params, args.omega)
+        if check.failed:
+            sys.stderr.write("selective-regime validation failed:\n")
+            sys.stderr.write(_format_validation(check))
+            return EXIT_VALIDATION
     report = protocol_fidelity(
         params, args.omega, propagator=args.propagator, order=args.order
     )
@@ -194,6 +190,9 @@ def _sweep_point(job) -> str:
         if not float(kw["L"]).is_integer():
             raise ValueError(f"chain length L must be an integer, got {kw['L']}")
         params = ChainParams(L=int(kw["L"]), omega0=kw["omega0"], a=kw["a"], J=J)
+        # The cap first: the fake-transition list costs O(L), so a row past
+        # the cap carries no fake-window flag.
+        check_state_capacity(params.L)
         if validate_selective(params, omega).fake_hits:
             flags.append("fake-window")
         rep = protocol_fidelity(params, omega, propagator=propagator, order=order)

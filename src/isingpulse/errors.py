@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+A pairing conflict in the block partition is not an error: it is resolved
+greedily and counted in ``BlockPartition.n_conflicts``.
+"""
 
 
 class SpinChainError(Exception):
@@ -11,15 +15,6 @@ class CapacityError(SpinChainError):
 
 class FrameError(SpinChainError):
     """State-vector frame or time tag does not match the operation's contract."""
-
-
-class PairingError(SpinChainError):
-    """Two-level partition broke down (a state's best partner was not mutual).
-
-    This typically signals that the pulse parameters sit near an accidental
-    degeneracy where two transitions of one state compete, e.g. close to a
-    fake-resonance value of the coupling.
-    """
 
 
 class ProtocolError(SpinChainError):

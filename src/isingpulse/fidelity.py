@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import StateVector, ground_state
+from .basis import StateVector, check_state_capacity, ground_state
 from .errors import FrameError, NumericalError, ProtocolError
 # Unused frame transforms stay imported: bench/tracing.py patches them here.
 from .exact import from_rotating, propagate_protocol, run_protocol, to_rotating  # noqa: F401
@@ -42,26 +42,6 @@ def dynamical_fidelity(psi_i: StateVector, psi_r: StateVector) -> float:
     if abs(psi_i.time - psi_r.time) > TIME_TOL * (1.0 + abs(psi_r.time)):
         raise FrameError(f"times differ: {psi_i.time} vs {psi_r.time}")
     return float(abs(np.vdot(psi_i.amplitudes, psi_r.amplitudes)) ** 2)
-
-
-def _block_phases(Omega, Delta, tau, e_m, e_p):
-    """Unit phases of the diagonal entries u11 and u22 of each block's 2x2
-    unitary (see :func:`~isingpulse.pert._block_u`), for Omega > 0.
-
-    u11 = (cos + i dl sin) ph_m and u22 = (cos - i dl sin) ph_p with ph_m,
-    ph_p unit diagonal phases, so only the first factor needs normalising;
-    its modulus is never zero, because cos has no floating-point root.
-    """
-    lam = np.hypot(Omega, Delta)
-    theta = 0.5 * lam * tau
-    cos = np.cos(theta)
-    dsin = Delta / lam * np.sin(theta)
-    rot = (cos + 1j * dsin) / np.hypot(cos, dsin)
-    half = 0.5 * Delta * tau
-    return (
-        rot * np.exp(-1j * (half + e_m * tau)),
-        rot.conj() * np.exp(1j * (half - e_p * tau)),
-    )
 
 
 def build_ideal_state(prot: Protocol) -> StateVector:
@@ -91,11 +71,11 @@ def build_ideal_state(prot: Protocol) -> StateVector:
         # Every live block contributes phases only, magnitudes kept.
         in_live = live[part.m_idx] | live[part.p_idx]
         m, q = part.m_idx[in_live], part.p_idx[in_live]
-        ph_m, ph_p = _block_phases(
+        u11, _, _, u22 = _block_u(
             pulse.Omega, part.delta[in_live], tau, part.e_rot[m], part.e_rot[q]
         )
-        out[m] = amps[m] * ph_m
-        out[q] = amps[q] * ph_p
+        out[m] = amps[m] * (u11 / np.abs(u11))
+        out[q] = amps[q] * (u22 / np.abs(u22))
         s = part.singletons[live[part.singletons]]
         out[s] = amps[s] * np.exp(-1j * part.e_rot[s] * tau)
         # The intended transition acts in full (resonant by construction).
@@ -192,9 +172,9 @@ def protocol_fidelity(
         raise ValueError(f"unknown propagator {propagator!r}")
     # The caps come before costly work: the state-vector cap before the
     # walk compiles, the dense cap (in run_protocol) before the ideal state.
-    # Each route still gets a fresh ground state: one held across the whole
-    # run makes a block run at L = 13-15 fault in a third more pages.
-    ground_state(p.L)
+    # Each route gets a fresh ground state: one held across the whole run
+    # makes a block run at L = 13-15 fault in a third more pages.
+    check_state_capacity(p.L)
     prot = build_entanglement_protocol(p, Omega, mirror=mirror)
     psi_r = psi_p = None
     if propagator in ("exact", "both"):

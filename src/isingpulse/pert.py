@@ -2,16 +2,21 @@
 
 Per pulse the basis is partitioned into pairs connected by a resonant or
 near-resonant single-flip transition (rotating-frame detuning within a
-threshold, default a/2) and leftover singletons.  Each pair evolves by the
-closed-form two-level amplitudes
+threshold, default a/2) and leftover singletons.  Each pair's 2x2 block is
+diagonalised in closed form by a (c, s) rotation W, applied by gathering
+the pair's two amplitudes; singletons keep their diagonal energy.  The
+block step is W e^{-i eps0 tau} W^T; the pulse loop, with its clock check,
+frame transforms and norm guard, is the exact propagator's.
+
+The same evolution as closed-form two-level amplitudes,
 
     c_m(tau) = c_m(0) [cos(lt/2) + i (D/l) sin(lt/2)] e^{-i D tau/2 - i E_m tau}
     c_p(tau) = c_m(0) [i (Omega/l) sin(lt/2)]        e^{+i D tau/2 - i E_p tau}
 
 with l = sqrt(Omega^2 + D^2), extended to a full unitary 2x2 rotation for
-nonzero initial c_p; singletons evolve by their diagonal phase.  The pulse
-loop, with its clock check, frame transforms and norm guard, is the exact
-propagator's: this module supplies only the per-pulse step.
+nonzero initial c_p (``_block_u``), is the ideal state's evaluator: near
+collisions the eigen form's u11 = c^2 z- + s^2 z+ cancels, where this form
+keeps its phase.
 
 The first-order mode additionally dresses each pulse with the eigenstate
 corrections built from the left-over (non-resonant) coupling V:
@@ -24,14 +29,13 @@ e_q') that the same matrix elements imply.  This captures both the leaked
 population and the differential level shifts of the parked branches.
 
 The dressing is built from the partition's index arrays, with no sparse
-matrix products.  The block eigensystem W is a (c, s) rotation per pair,
-applied to the state by gathering the pair's two amplitudes.  M = W^T V W
-is formed in closed form from the single-flip couplings between blocks,
-column by column, so A needs no sort and no summing of duplicates.  The
-only sparse matrix a pulse builds is ``I - A/2``, for its LU.  Couplings
-between pairs whose mixing angles agree cancel exactly, so A carries no
-rounding residue there.  The dressing takes 0.19 ms a pulse at L = 6 and
-1.5-1.8 ms at L = 10 (2-core host, one BLAS thread).
+matrix products.  M = W^T V W is formed in closed form from the
+single-flip couplings between blocks, column by column, so A needs no
+sort and no summing of duplicates.  The only sparse matrix a pulse builds
+is ``I - A/2``, for its LU.  Couplings between pairs whose mixing angles
+agree cancel exactly, so A carries no rounding residue there.  The
+dressing takes 0.19 ms a pulse at L = 6 and 1.5-1.8 ms at L = 10 (2-core
+host, one BLAS thread).
 
 The Cayley factor costs one real sparse LU a pulse: ``I - A/2`` is built
 once as real CSC, and both complex right-hand sides are solved as one real
@@ -61,7 +65,6 @@ import numpy as np
 import scipy
 
 from .basis import StateVector
-from .errors import PairingError
 # Unused frame transforms stay imported: bench/tracing.py patches them here.
 from .exact import from_rotating, propagate_protocol, to_rotating  # noqa: F401
 from .hamiltonian import ChainParams, rotating_energy_table
@@ -129,7 +132,7 @@ class BlockPartition:
     Array view: ``m_idx``/``p_idx``/``delta`` describe the pairs,
     ``singletons`` the leftover states.  ``n_conflicts`` counts states whose
     closest in-threshold partner ended up paired elsewhere (resolved by the
-    greedy matching; a strict partition would have refused them).
+    greedy matching).
     """
 
     L: int
@@ -138,7 +141,6 @@ class BlockPartition:
     delta: np.ndarray
     singletons: np.ndarray
     e_rot: np.ndarray
-    threshold: float
     n_conflicts: int
 
 
@@ -159,7 +161,6 @@ def partition_blocks(
     pulse: Pulse,
     p: ChainParams,
     threshold: float | None = None,
-    strict: bool = False,
 ) -> BlockPartition:
     """Pair every basis state with its closest single-flip partner.
 
@@ -171,11 +172,10 @@ def partition_blocks(
     no per-state bookkeeping runs.  Only when some state has two
     candidates are they matched greedily in that order, a state keeping
     its best partner that is still free.  Then ``n_conflicts`` counts the
-    in-threshold states that lost their closest candidate, and with
-    ``strict`` the first of them raises :class:`PairingError` instead of
-    falling through to its next candidate or a singleton.  Flips outside
-    the threshold take no part in that count: they cannot put a state in
-    threshold, nor tie with an in-threshold |detuning|.
+    in-threshold states that lost their closest candidate and fell through
+    to their next candidate or a singleton.  Flips outside the threshold
+    take no part in that count: they cannot put a state in threshold, nor
+    tie with an in-threshold |detuning|.
     """
     if threshold is None:
         threshold = default_threshold(p)
@@ -226,13 +226,6 @@ def partition_blocks(
         happy[m_idx] = abs_delta == best_abs[m_idx]
         happy[p_idx] = abs_delta == best_abs[p_idx]
         n_conflicts = int(np.count_nonzero(in_thr & ~happy))
-        if strict and n_conflicts:
-            bad = idx[in_thr & ~happy][0]
-            raise PairingError(
-                f"state {bad} has an in-threshold closest partner that paired "
-                f"elsewhere (nu={pulse.nu}, threshold={threshold}); the "
-                "two-level partition is ambiguous here"
-            )
 
     return BlockPartition(
         L=L,
@@ -241,7 +234,6 @@ def partition_blocks(
         delta=delta,
         singletons=idx[~taken],
         e_rot=e_rot,
-        threshold=threshold,
         n_conflicts=n_conflicts,
     )
 
@@ -412,8 +404,6 @@ def run_protocol_pert(
     psi0: StateVector,
     prot: Protocol,
     order: str = ORDER_BLOCK,
-    *,
-    strict: bool = False,
 ) -> StateVector:
     """Propagate through a protocol with the block (or block+pt1) model.
 
@@ -426,22 +416,14 @@ def run_protocol_pert(
     degeneracy_tol = 1e-9 * max(p.a, 1.0)
 
     def step(amps: np.ndarray, pulse: Pulse) -> np.ndarray:
-        part = partition_blocks(pulse, p, strict=strict)
+        part = partition_blocks(pulse, p)
         tau = pulse.duration
         if order == ORDER_BLOCK_PT1:
             eps, c, s, a = _pt1_dressing(part, pulse.Omega, degeneracy_tol)
             out = _apply_pt1(_rotate(part, c, s, amps), eps, tau, a)
-            return _rotate(part, c, -s, out)
-        out = amps.copy()
-        u11, u12, u21, u22 = _block_u(
-            pulse.Omega, part.delta, tau, part.e_rot[part.m_idx], part.e_rot[part.p_idx]
-        )
-        cm = amps[part.m_idx]
-        cp = amps[part.p_idx]
-        out[part.m_idx] = u11 * cm + u12 * cp
-        out[part.p_idx] = u21 * cm + u22 * cp
-        s = part.singletons
-        out[s] = amps[s] * np.exp(-1j * part.e_rot[s] * tau)
-        return out
+        else:
+            eps0, c, s = _block_rotation(part, pulse.Omega)
+            out = np.exp(-1j * eps0 * tau) * _rotate(part, c, s, amps)
+        return _rotate(part, c, -s, out)
 
     return propagate_protocol(psi0, prot, step)

@@ -3,12 +3,14 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import isingpulse
-from isingpulse import ChainParams, validate_selective
+from isingpulse import ChainParams, cli, validate_selective
+from isingpulse.basis import MAX_QUBITS_STATE
 from isingpulse.cli import (
     CSV_HEADER,
     EXIT_NUMERICAL,
@@ -434,6 +436,52 @@ def test_large_chains_fail_per_point_not_at_compile(tmp_path):
         "--omega", "0.118", "--out", str(dump),
     ) == EXIT_OK
     assert len(read(dump).strip().splitlines()) == 1 + 2 * 200 - 2
+
+
+def _guard_validation(monkeypatch):
+    """Record the chain lengths validate_selective sees, and fail at once
+    past the state-vector cap, where its O(L) fake-transition list would
+    run for minutes."""
+    seen = []
+    real = cli.validate_selective
+
+    def guarded(params, omega):
+        seen.append(params.L)
+        assert params.L <= MAX_QUBITS_STATE, "validated past the state-vector cap"
+        return real(params, omega)
+
+    monkeypatch.setattr(cli, "validate_selective", guarded)
+    return seen
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["plain", "strict"])
+def test_run_meets_state_cap_before_validation(monkeypatch, capsys, strict):
+    # Only --strict validates, and only a chain under the cap.
+    seen = _guard_validation(monkeypatch)
+    t0 = time.perf_counter()
+    assert run_cli("run", "--L", "10000000", "--propagator", "pert",
+                   *["--strict"] * strict) == EXIT_NUMERICAL
+    assert time.perf_counter() - t0 < 5
+    assert "CapacityError" in capsys.readouterr().err
+    assert run_cli("run", "--L", "4", "--propagator", "pert",
+                   *["--strict"] * strict, "--out", os.devnull) == EXIT_OK
+    assert seen == [4] * strict
+
+
+def test_sweep_meets_state_cap_before_validation(monkeypatch, tmp_path):
+    # The row past the cap records the error and carries no flag.
+    seen = _guard_validation(monkeypatch)
+    out = tmp_path / "s.csv"
+    t0 = time.perf_counter()
+    assert run_cli(
+        "sweep", "--param", "L", "--values", "4,1e7", "--J", "1", "--a", "100",
+        "--omega", "0.118", "--propagator", "pert", "--out", str(out),
+    ) == EXIT_OK
+    assert time.perf_counter() - t0 < 5
+    rows = [line.split(",") for line in read(out).strip().splitlines()[1:]]
+    assert [(r[1], r[5], r[6]) for r in rows] == [
+        ("4", "ok", ""), ("10000000", "CapacityError", "")]
+    assert seen == [4]
 
 
 # ---------------------------------------------------------------- golden

@@ -24,7 +24,6 @@ from isingpulse import (
 )
 from isingpulse import fidelity
 from isingpulse.exact import propagate_protocol
-from isingpulse.fidelity import _block_phases
 from isingpulse.pert import _block_u, partition_blocks
 from isingpulse.protocol import Protocol
 
@@ -116,8 +115,8 @@ def _reference_ideal_state(prot):
 
 @pytest.mark.parametrize("L", range(6, 13))
 def test_ideal_state_matches_block_u_reference(L):
-    # The ideal step normalises only the rotation factor of each block's
-    # diagonal entries; the state must be the np.angle construction's.
+    # The ideal step takes each block's diagonal phases as u / |u|; the
+    # state must be the np.angle construction's.
     for mirror in (False, True):
         for J in (0.8, 1.945, 25.0):
             p = ChainParams(L=L, omega0=100.0 if mirror else 0.0, a=100.0, J=J)
@@ -139,11 +138,11 @@ def _all_blocks_ideal_state(prot):
         part = partition_blocks(pulse, p)
         out = amps.copy()
         tau = pulse.duration
-        ph_m, ph_p = _block_phases(
+        u11, _, _, u22 = _block_u(
             pulse.Omega, part.delta, tau, part.e_rot[part.m_idx], part.e_rot[part.p_idx]
         )
-        out[part.m_idx] = amps[part.m_idx] * ph_m
-        out[part.p_idx] = amps[part.p_idx] * ph_p
+        out[part.m_idx] = amps[part.m_idx] * (u11 / np.abs(u11))
+        out[part.p_idx] = amps[part.p_idx] * (u22 / np.abs(u22))
         s = part.singletons
         out[s] = amps[s] * np.exp(-1j * part.e_rot[s] * tau)
         d = part.e_rot[pp] - part.e_rot[mm]
