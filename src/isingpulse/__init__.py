@@ -37,7 +37,6 @@ from .hamiltonian import (
     RotFrameHam,
     build_rot_ham,
     chaos_border,
-    fake_transitions,
     h0_energy_table,
 )
 from .pert import (
@@ -83,7 +82,6 @@ __all__ = [
     "dynamical_fidelity",
     "epsilon_param",
     "eta_param",
-    "fake_transitions",
     "fidelity_minima_J",
     "flip",
     "format_protocol_table",

@@ -26,7 +26,7 @@ import sys
 
 import numpy as np
 
-from .basis import check_state_capacity, format_state_table
+from .basis import format_state_table
 from .errors import ProtocolError, SpinChainError
 from .fidelity import protocol_fidelity
 from .hamiltonian import ChainParams, chaos_border
@@ -146,8 +146,6 @@ def _format_validation(report) -> str:
 def cmd_run(args) -> int:
     params = _chain(args)
     if args.strict:
-        # The cap first: the fake-transition list costs O(L).
-        check_state_capacity(params.L)
         check = validate_selective(params, args.omega)
         if check.failed:
             sys.stderr.write("selective-regime validation failed:\n")
@@ -190,9 +188,6 @@ def _sweep_point(job) -> str:
         if not float(kw["L"]).is_integer():
             raise ValueError(f"chain length L must be an integer, got {kw['L']}")
         params = ChainParams(L=int(kw["L"]), omega0=kw["omega0"], a=kw["a"], J=J)
-        # The cap first: the fake-transition list costs O(L), so a row past
-        # the cap carries no fake-window flag.
-        check_state_capacity(params.L)
         if validate_selective(params, omega).fake_hits:
             flags.append("fake-window")
         rep = protocol_fidelity(params, omega, propagator=propagator, order=order)
@@ -220,6 +215,8 @@ def _sweep_values(args) -> list[float]:
         if args.steps < 2 and args.lo != args.hi:
             raise _UsageError("sweep ranges need steps >= 2")
         vals = list(np.linspace(args.lo, args.hi, args.steps))
+    if not vals:
+        raise _UsageError("sweep needs at least one value")
     # Written so that a NaN, which compares False both ways, fails it.
     if any(not b > a for a, b in zip(vals, vals[1:])):
         raise _UsageError("swept values must be strictly increasing")

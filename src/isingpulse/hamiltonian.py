@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
@@ -179,34 +178,6 @@ class RotFrameHam:
 def build_rot_ham(p: ChainParams, pulse: "Pulse") -> RotFrameHam:
     """Rotating-frame Hamiltonian for one pulse."""
     return RotFrameHam(p, nu=pulse.nu, Omega=pulse.Omega, phi=pulse.phi)
-
-
-def fake_transitions(p: ChainParams) -> list[float]:
-    """Coupling values J at which an unwanted transition becomes resonant.
-
-    Four families: a*k/4 and a*k/2 for k = 1..L-3, and a*k and a*k/3 for
-    k = 1..L-2.  Returned sorted without duplicates.
-
-    These are the generic single-flip collisions of the chain, listed
-    whether or not a given pulse sequence populates the states involved.
-    Which ones the entanglement walk activates depends on its orientation.
-    At L = 6 and J <= a, the walk from qubit 0 activates a/3, a/2, 2a/3
-    and a: its one 4J pulse flips qubit 1 back, and the lower-frequency
-    neighbour is the border qubit 0, so that collision falls at a/3 and
-    never at a/4.  The mirror walk (with omega0 > J) activates a/4, a/2,
-    3a/4 and a: its 4J pulse flips qubit L-2 back, resonant with qubit L-3
-    of the parked |0...0> branch at J = a/4.
-    """
-    if p.L < 3:
-        raise ValueError(f"fake-transition analysis needs L >= 3, got {p.L}")
-    ratios: set[Fraction] = set()
-    for k in range(1, p.L - 2):
-        ratios.add(Fraction(k, 4))
-        ratios.add(Fraction(k, 2))
-    for k in range(1, p.L - 1):
-        ratios.add(Fraction(k, 1))
-        ratios.add(Fraction(k, 3))
-    return [p.a * float(r) for r in sorted(ratios)]
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """Perturbative propagation: two-level blocks plus optional dressing.
 
 Per pulse the basis is partitioned into pairs connected by a resonant or
-near-resonant single-flip transition (rotating-frame detuning within a
-threshold, default a/2) and leftover singletons.  Each pair's 2x2 block is
+near-resonant single-flip transition (rotating-frame detuning within the
+threshold a/2) and leftover singletons.  Each pair's 2x2 block is
 diagonalised in closed form by a (c, s) rotation W, applied by gathering
 the pair's two amplitudes; singletons keep their diagonal energy.  The
 block step is W e^{-i eps0 tau} W^T; the pulse loop, with its clock check,
@@ -157,15 +157,12 @@ def _greedy_matching(order, cand_m, cand_p):
     return np.array(sel, dtype=int)
 
 
-def partition_blocks(
-    pulse: Pulse,
-    p: ChainParams,
-    threshold: float | None = None,
-) -> BlockPartition:
+def partition_blocks(pulse: Pulse, p: ChainParams) -> BlockPartition:
     """Pair every basis state with its closest single-flip partner.
 
     Candidate pairs are the single-flip pairs whose rotating-frame detuning
-    has magnitude at most ``threshold``, in order of increasing |detuning|.
+    has magnitude at most :func:`default_threshold` (a/2), in order of
+    increasing |detuning|.
     In the selective regime no state lies in two candidate pairs, so the
     candidates already form a matching and all of them are taken: every
     in-threshold state keeps its one candidate, ``n_conflicts`` is 0 and
@@ -177,8 +174,7 @@ def partition_blocks(
     take no part in that count: they cannot put a state in threshold, nor
     tie with an in-threshold |detuning|.
     """
-    if threshold is None:
-        threshold = default_threshold(p)
+    threshold = default_threshold(p)
     L, n = p.L, 1 << p.L
     idx = np.arange(n)
     e_rot = rotating_energy_table(p, pulse.nu)

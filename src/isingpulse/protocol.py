@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .basis import BasisState, flip
 from .errors import ProtocolError
-from .hamiltonian import ChainParams, fake_transitions, h0_energy_table
+from .hamiltonian import ChainParams, h0_energy_table
 
 START_TIME_TOL = 1e-9
 
@@ -29,6 +29,12 @@ RATIO_FAIL = 1.0
 
 # Relative distance to a fake-transition coupling below which J is flagged.
 FAKE_WINDOW = 0.02
+
+# The chain's generic single-flip collisions, listed whether or not a given
+# walk populates the states involved: (d, off) is the family J = a*k/d for
+# k = 1..L-off.  Which ones a walk activates depends on its orientation (see
+# the README's note on acceptance criterion 4).
+FAKE_FAMILIES = ((4, 3), (2, 3), (1, 2), (3, 2))
 
 ENTANGLE_KIND = "entangle"
 
@@ -97,6 +103,11 @@ def resonance_frequency(s: BasisState, k: int, p: ChainParams) -> float:
     return float(abs(e_flip - e_s))
 
 
+def _check_drive(Omega: float) -> None:
+    if not Omega > 0:
+        raise ValueError(f"Rabi frequency must be positive, got {Omega}")
+
+
 def _walk_order(L: int, mirror: bool) -> list[int]:
     if not mirror:
         flips = [0, 1]
@@ -125,13 +136,12 @@ def build_entanglement_protocol(
     omega0 > J, and J < (omega0 + a*(L-2))/2 for its 4J pulse.
 
     The orientation decides which fake resonances the walk meets (see
-    :func:`~isingpulse.hamiltonian.fake_transitions`): only the mirror
-    walk's 4J pulse reaches the J = a/4 family.
+    :data:`FAKE_FAMILIES`): only the mirror walk's 4J pulse reaches the
+    J = a/4 family.
     """
     if p.L < 3:
         raise ProtocolError(f"the entanglement walk needs L >= 3, got L={p.L}")
-    if not Omega > 0:
-        raise ValueError(f"Rabi frequency must be positive, got {Omega}")
+    _check_drive(Omega)
     order = _walk_order(p.L, mirror)
     path = [BasisState(0, p.L)]
     for k in order:
@@ -196,7 +206,8 @@ class RegimeCheck:
 
 @dataclass(frozen=True)
 class SelectiveReport:
-    """Margins of the selective-excitation inequalities, plus fake-J flags."""
+    """Margins of the selective-excitation inequalities, plus the
+    fake-resonance couplings within :data:`FAKE_WINDOW` of J, ascending."""
 
     checks: tuple[RegimeCheck, ...]
     fake_hits: tuple[tuple[float, float], ...]  # (J_fake, relative distance)
@@ -222,11 +233,14 @@ def validate_selective(p: ChainParams, Omega: float) -> SelectiveReport:
     """Report each selective-regime ratio with a pass/warn/fail level.
 
     Checks Omega << J << a, a >> 4J, and the protocol-length conditions
-    Omega*sqrt(L/2) << J and << a.  Never raises; degenerate inputs simply
-    produce failing ratios.  ``fake_hits`` lists each fake-transition J value
-    (for L >= 3 and J > 0) within relative distance :data:`FAKE_WINDOW` of
-    ``p.J``; this is also the sweep's ``fake-window`` flag.
+    Omega*sqrt(L/2) << J and << a.  Raises ValueError for a drive that is
+    not positive, as the walk compiler does; other degenerate inputs simply
+    produce failing ratios.  ``fake_hits`` lists, sorted, each value of the
+    :data:`FAKE_FAMILIES` within relative distance :data:`FAKE_WINDOW` of
+    ``p.J``; this is also the sweep's ``fake-window`` flag.  Only the few k
+    near d*J/a are tried, so the cost does not grow with L.
     """
+    _check_drive(Omega)
     inf = math.inf
     ratios = [
         ("Omega/J", Omega / p.J if p.J > 0 else inf),
@@ -236,13 +250,22 @@ def validate_selective(p: ChainParams, Omega: float) -> SelectiveReport:
         ("Omega*sqrt(L/2)/a", Omega * math.sqrt(p.L / 2.0) / p.a),
     ]
     checks = tuple(RegimeCheck(n, r, _level(r)) for n, r in ratios)
-    hits = []
-    if p.L >= 3 and p.J > 0:
-        for jf in fake_transitions(p):
+    hits = {}
+    for d, off in FAKE_FAMILIES:
+        # A hit needs x/(1 + FAKE_WINDOW) < k < x/(1 - FAKE_WINDOW); the
+        # rounded-out bounds below only pick the k that the test then tries.
+        x = d * p.J / p.a
+        lo = x / (1.0 + FAKE_WINDOW)
+        if lo >= p.L:  # no k in range; also x = inf
+            continue
+        hi = min(p.L - off, math.ceil(x / (1.0 - FAKE_WINDOW)))
+        for k in range(max(1, math.floor(lo)), hi + 1):
+            # Correctly rounded k/d: equal ratios of two families give one jf.
+            jf = p.a * (k / d)
             rel = abs(p.J - jf) / jf
             if rel < FAKE_WINDOW:
-                hits.append((jf, rel))
-    return SelectiveReport(checks=checks, fake_hits=tuple(hits))
+                hits[jf] = rel
+    return SelectiveReport(checks=checks, fake_hits=tuple(sorted(hits.items())))
 
 
 def format_protocol_table(prot: Protocol) -> str:

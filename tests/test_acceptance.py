@@ -23,7 +23,6 @@ from isingpulse import (
     chaos_border,
     dynamical_fidelity,
     eta_param,
-    fake_transitions,
     ground_state,
     propagate_pulse,
     protocol_fidelity,
@@ -31,6 +30,7 @@ from isingpulse import (
     run_protocol,
     run_protocol_pert,
     two_pi_k_omega,
+    validate_selective,
 )
 from isingpulse.cli import main as cli_main
 from isingpulse.hamiltonian import rotating_energy_table
@@ -141,10 +141,10 @@ def test_criterion_3_exact_vs_perturbative_agreement():
     propagators agree within 10*L*eta + 5% of the exact infidelity."""
     L = 6
     eta = eta_param(OMEGA_REF, A_REF)
-    fakes = fake_transitions(ChainParams(L=L, a=A_REF, J=1.0))
     js = [
         j for j in np.linspace(0.3, 20.0, 100)
-        if all(abs(j - jf) / jf >= 0.02 for jf in fakes)
+        if not validate_selective(
+            ChainParams(L=L, a=A_REF, J=float(j)), OMEGA_REF).fake_hits
     ]
     assert len(js) == 100  # no fake window intersects this range
     worst = 0.0

@@ -9,8 +9,7 @@ from pathlib import Path
 import pytest
 
 import isingpulse
-from isingpulse import ChainParams, cli, validate_selective
-from isingpulse.basis import MAX_QUBITS_STATE
+from isingpulse import ChainParams, validate_selective
 from isingpulse.cli import (
     CSV_HEADER,
     EXIT_NUMERICAL,
@@ -438,50 +437,25 @@ def test_large_chains_fail_per_point_not_at_compile(tmp_path):
     assert len(read(dump).strip().splitlines()) == 1 + 2 * 200 - 2
 
 
-def _guard_validation(monkeypatch):
-    """Record the chain lengths validate_selective sees, and fail at once
-    past the state-vector cap, where its O(L) fake-transition list would
-    run for minutes."""
-    seen = []
-    real = cli.validate_selective
-
-    def guarded(params, omega):
-        seen.append(params.L)
-        assert params.L <= MAX_QUBITS_STATE, "validated past the state-vector cap"
-        return real(params, omega)
-
-    monkeypatch.setattr(cli, "validate_selective", guarded)
-    return seen
-
-
-@pytest.mark.parametrize("strict", [False, True], ids=["plain", "strict"])
-def test_run_meets_state_cap_before_validation(monkeypatch, capsys, strict):
-    # Only --strict validates, and only a chain under the cap.
-    seen = _guard_validation(monkeypatch)
+@pytest.mark.parametrize("argv, code, err, row", [
+    (("validate",), EXIT_OK, "", None),
+    (("run", "--strict", "--propagator", "pert"), EXIT_VALIDATION,
+     "Omega*sqrt(L/2)/J = 263.856 [fail]", None),
+    (("run", "--propagator", "pert"), EXIT_NUMERICAL, "CapacityError", None),
+    (("sweep", "--param", "L", "--values", "1e7", "--propagator", "pert"), EXIT_OK,
+     "", "L,10000000,,,,CapacityError,"),
+], ids=["validate", "run-strict", "run", "sweep"])
+def test_huge_chains_are_judged_in_constant_time(tmp_path, capsys, argv, code, err, row):
+    # Validation costs the same at any L, so --strict fails on the regime
+    # before the state-vector cap is met.
+    out = tmp_path / "out.txt"
     t0 = time.perf_counter()
-    assert run_cli("run", "--L", "10000000", "--propagator", "pert",
-                   *["--strict"] * strict) == EXIT_NUMERICAL
+    assert run_cli(*argv, "--L", "10000000", "--J", "1", "--a", "100",
+                   "--omega", "0.118", "--out", str(out)) == code
     assert time.perf_counter() - t0 < 5
-    assert "CapacityError" in capsys.readouterr().err
-    assert run_cli("run", "--L", "4", "--propagator", "pert",
-                   *["--strict"] * strict, "--out", os.devnull) == EXIT_OK
-    assert seen == [4] * strict
-
-
-def test_sweep_meets_state_cap_before_validation(monkeypatch, tmp_path):
-    # The row past the cap records the error and carries no flag.
-    seen = _guard_validation(monkeypatch)
-    out = tmp_path / "s.csv"
-    t0 = time.perf_counter()
-    assert run_cli(
-        "sweep", "--param", "L", "--values", "4,1e7", "--J", "1", "--a", "100",
-        "--omega", "0.118", "--propagator", "pert", "--out", str(out),
-    ) == EXIT_OK
-    assert time.perf_counter() - t0 < 5
-    rows = [line.split(",") for line in read(out).strip().splitlines()[1:]]
-    assert [(r[1], r[5], r[6]) for r in rows] == [
-        ("4", "ok", ""), ("10000000", "CapacityError", "")]
-    assert seen == [4]
+    assert err in capsys.readouterr().err
+    if row is not None:
+        assert read(out).splitlines()[1:] == [row]
 
 
 # ---------------------------------------------------------------- golden
@@ -541,7 +515,7 @@ def test_block_sweep_past_dense_cap_matches_golden(tmp_path):
 # only in a new interpreter.
 _FRESH_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
     filter(None, [str(Path(isingpulse.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
-_DEFERRED = ("scipy.linalg", "scipy.sparse", "concurrent.futures.process")
+_DEFERRED = ("scipy.linalg", "scipy.sparse", "concurrent.futures.process", "fractions")
 
 
 def _python(*args):
@@ -588,9 +562,14 @@ def test_cold_start_loads_no_scipy_linalg_sparse_or_process_pool(argv):
     ("chaos", "--out", "{missing}/x"),
     ("sweep", "--values", "1,2", "--workers", "0"),
     ("sweep", "--L", "4", "--param", "J", "--values", "2,nan,1"),
+    ("sweep", "--param", "J", "--values", ",", "--L", "4"),
+    ("sweep", "--param", "J", "--from", "2", "--to", "2", "--steps", "0", "--L", "4"),
+    ("validate", "--omega", "-1"),
+    ("validate", "--omega", "0", "--strict"),
 ], ids=["run-omega-0", "slope-a-negative", "dump-omega-negative",
         "sweep-steps-negative", "missing-config", "missing-out-dir",
-        "sweep-workers-0", "sweep-values-nan"])
+        "sweep-workers-0", "sweep-values-nan", "sweep-values-empty",
+        "sweep-steps-0", "validate-omega-negative", "validate-omega-0-strict"])
 def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, argv):
     argv = [arg.format(missing=tmp_path / "missing") for arg in argv]
     assert run_cli(*argv) == EXIT_USAGE

@@ -10,9 +10,9 @@ from isingpulse import (
     Pulse,
     build_rot_ham,
     chaos_border,
-    fake_transitions,
     flip,
     spin_z,
+    validate_selective,
 )
 from isingpulse import basis, protocol_fidelity
 from isingpulse.hamiltonian import (
@@ -252,30 +252,40 @@ def test_rot_ham_rejects_nonfinite():
 # ------------------------------------------------------ fake transitions
 
 
+# The fake-resonance couplings of an L = 6 chain at a = 100: a*k/4 and
+# a*k/2 for k = 1..3, a*k and a*k/3 for k = 1..4.
+FAKES_L6 = [100.0 * r for r in (1 / 4, 1 / 3, 1 / 2, 2 / 3, 3 / 4, 1, 4 / 3, 3 / 2,
+                                2, 3, 4)]
+
+
+def _fake_hits(L, a, J):
+    return validate_selective(ChainParams(L=L, a=a, J=J), 0.118).fake_hits
+
+
 def test_fake_transitions_smallest_largest():
-    p = ChainParams(L=6, a=100.0, J=1.0)
-    fakes = fake_transitions(p)
-    assert fakes == sorted(fakes)
-    assert len(fakes) == len(set(fakes))
-    assert fakes[0] == pytest.approx(25.0)  # a/4
-    assert fakes[-1] == pytest.approx(400.0)  # a*(L-2)
-    assert any(abs(f - 100.0 / 3.0) < 1e-9 for f in fakes)  # a/3 family
+    # Each family ends at k = L-off: its next value is hit only where another
+    # family lists it, and one qubit more brings it in.
+    for d, off in ((4, 3), (2, 3), (1, 2), (3, 2)):
+        first, past = 100.0 * (1 / d), 100.0 * ((6 - off + 1) / d)
+        assert _fake_hits(6, 100.0, first) == ((first, 0.0),)
+        assert bool(_fake_hits(6, 100.0, past)) == (past in FAKES_L6)
+        assert _fake_hits(7, 100.0, past) == ((past, 0.0),)
 
 
 def test_fake_transitions_full_set_L6():
-    p = ChainParams(L=6, a=100.0, J=1.0)
-    expected = sorted(
-        {25.0, 50.0, 75.0, 100.0, 150.0, 200.0, 300.0, 400.0}
-        | {100.0 / 3.0, 200.0 / 3.0, 400.0 / 3.0}
-    )
-    assert fake_transitions(p) == pytest.approx(expected)
+    for jf in FAKES_L6:
+        assert _fake_hits(6, 100.0, jf) == ((jf, 0.0),)
+    between = [0.5 * (lo + hi) for lo, hi in zip(FAKES_L6, FAKES_L6[1:])]
+    for J in [10.0, *between, 500.0]:
+        assert _fake_hits(6, 100.0, J) == ()
 
 
 def test_fake_transitions_minimal_chain():
-    p = ChainParams(L=3, a=12.0, J=1.0)
-    assert fake_transitions(p) == pytest.approx([4.0, 12.0])  # a/3 and a
-    with pytest.raises(ValueError):
-        fake_transitions(ChainParams(L=2, a=1.0))
+    # Only a/3 and a exist at L = 3, and nothing at L = 2.
+    candidates = {12.0 * k / d for d in (1, 2, 3, 4) for k in range(1, 7)}
+    hit = {J for J in candidates if _fake_hits(3, 12.0, J)}
+    assert hit == {4.0, 12.0}
+    assert not any(_fake_hits(2, 12.0, J) for J in candidates)
 
 
 # ------------------------------------------------------ chaos border

@@ -491,17 +491,6 @@ def test_block_eigensystem_diagonalizes_block_hamiltonian():
         assert np.max(np.abs(_rotate(part, c, -s, x) - wd @ x)) < 1e-15
 
 
-def test_partition_with_zero_threshold_keeps_resonant_pair_only():
-    prot = build_entanglement_protocol(P6, 0.118)
-    part = partition_blocks(prot.pulses[0], P6, threshold=0.0)
-    assert len(part.m_idx) >= 1
-    assert all(d == 0.0 for d in part.delta)
-    tight = partition_blocks(prot.pulses[1], P6, threshold=1e-12)
-    # pulse 2 still has exactly resonant moving-branch pairs
-    assert len(tight.m_idx) >= 1
-    assert len(tight.singletons) == (1 << 6) - 2 * len(tight.m_idx)
-
-
 def test_pt1_degenerate_denominators_are_skipped(caplog):
     # Near-degenerate denominators are dropped instead of blowing up, with
     # one warning a pulse that counts them as the sparse triple product

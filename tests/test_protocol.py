@@ -17,9 +17,9 @@ from isingpulse import (
     two_pi_k_omega,
     validate_selective,
 )
-from isingpulse.protocol import Protocol
+from isingpulse.protocol import FAKE_WINDOW, Protocol
 
-from chain_helpers import protocol_target_index, single_flip_deltas
+from chain_helpers import fake_transitions, protocol_target_index, single_flip_deltas
 
 P6 = ChainParams(L=6, omega0=0.0, a=100.0, J=1.0)
 
@@ -187,6 +187,35 @@ def test_validate_selective_never_raises_on_degenerate_input():
     p = ChainParams(L=6, a=100.0, J=0.0)
     report = validate_selective(p, 0.1)
     assert report.failed  # Omega/J is infinite
+
+
+@pytest.mark.parametrize("Omega", [0.0, -1.0, math.nan])
+def test_validate_selective_rejects_a_drive_that_is_not_positive(Omega):
+    with pytest.raises(ValueError, match="Rabi frequency must be positive"):
+        validate_selective(P6, Omega)
+
+
+def test_fake_hits_match_the_fake_transition_list():
+    # The closed-form search against the full list filtered at the window:
+    # every family value, on it, 1% and 2% off, just either side of the
+    # window's edge and 3% off, plus random couplings, all bit for bit.
+    rng = np.random.default_rng(5)
+    offsets = [0.0, *(s * e for s in (1, -1)
+                      for e in (0.01, 0.02, 0.02 - 1e-10, 0.02 + 1e-10, 0.03))]
+    for L in (3, 4, 5, 6, 9, 17, 39, 100, 1000):
+        for a in (1.0, 3.7, 100.0):
+            fakes = np.array(fake_transitions(ChainParams(L=L, a=a)))
+            on = {a * (k / d) for d in (1, 2, 3, 4) for k in range(1, 60)}
+            js = [jf * (1.0 + o) for jf in on for o in offsets]
+            js += [0.0, *(a * rng.uniform(0.0, min(L, 60)) for _ in range(50))]
+            for J in js:
+                rel = np.abs(J - fakes) / fakes
+                near = rel < FAKE_WINDOW
+                want = tuple(zip(fakes[near].tolist(), rel[near].tolist()))
+                assert validate_selective(
+                    ChainParams(L=L, a=a, J=J), 0.118).fake_hits == want, (L, a, J)
+    # A coupling so far past the families that d*J/a overflows.
+    assert validate_selective(ChainParams(L=6, a=1e-300, J=1e300), 0.1).fake_hits == ()
 
 
 # ------------------------------------------------------ table dump
