@@ -150,7 +150,7 @@ def propagate_pulse(
     The state's clock must sit at the pulse start.  ``step(amps, pulse)``
     evolves rotating-frame amplitudes over the pulse; it defaults to the
     exact dense step.  Returns the lab-frame state at the pulse end;
-    norm conservation is enforced to 1e-10.
+    norm conservation is enforced to 1e-10, and a NaN norm fails it.
     """
     if step is None:
         step = _dense_step(p)
@@ -163,7 +163,7 @@ def propagate_pulse(
         step(rot.amplitudes, pulse), time=pulse.t_end, rot_nu=pulse.nu
     )
     out = from_rotating(evolved, pulse.nu, pulse.t_end)
-    if abs(out.norm() - 1.0) > NORM_TOL:
+    if not abs(out.norm() - 1.0) <= NORM_TOL:
         raise NumericalError(
             f"norm drifted to {out.norm():.15f} during pulse at nu={pulse.nu}"
         )

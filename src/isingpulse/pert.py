@@ -2,11 +2,18 @@
 
 Per pulse the basis is partitioned into pairs connected by a resonant or
 near-resonant single-flip transition (rotating-frame detuning within the
-threshold a/2) and leftover singletons.  Each pair's 2x2 block is
-diagonalised in closed form by a (c, s) rotation W, applied by gathering
-the pair's two amplitudes; singletons keep their diagonal energy.  The
-block step is W e^{-i eps0 tau} W^T; the pulse loop, with its clock check,
-frame transforms and norm guard, is the exact propagator's.
+threshold a/2) and leftover singletons.  A flip of qubit k detunes by
+omega_k - nu give or take 2J from its neighbours, so only the qubits with
+|omega_k - nu| <= a/2 + 2J are scanned, one on a walk pulse while 8J < a;
+the partition then costs O(2^L) and needs no sort.  Pairs come in ascending
+index of their lower state; |detuning| order is used only inside the
+greedy matching that resolves states with two candidates.  Every consumer
+gathers and scatters the pairs by index, so their order changes no
+result.  Each pair's 2x2 block is diagonalised in closed form by a (c, s)
+rotation W, applied by gathering the pair's two amplitudes; singletons
+keep their diagonal energy.  The block step is W e^{-i eps0 tau} W^T; the
+pulse loop, with its clock check, frame transforms and norm guard, is the
+exact propagator's.
 
 The same evolution as closed-form two-level amplitudes,
 
@@ -129,10 +136,12 @@ def _block_u(Omega, Delta, tau, e_m, e_p):
 class BlockPartition:
     """Partition of the basis into two-level pairs and singletons.
 
-    Array view: ``m_idx``/``p_idx``/``delta`` describe the pairs,
-    ``singletons`` the leftover states.  ``n_conflicts`` counts states whose
-    closest in-threshold partner ended up paired elsewhere (resolved by the
-    greedy matching).
+    Array view: ``m_idx``/``p_idx``/``delta`` describe the pairs, in
+    strictly ascending ``m_idx`` (the state with the flipped bit clear),
+    ``singletons`` the leftover states in ascending order.  ``n_conflicts``
+    counts states whose closest in-threshold partner ended up paired
+    elsewhere (resolved by the greedy matching, the one place where pairs
+    are ordered by |delta|).
     """
 
     L: int
@@ -157,78 +166,115 @@ def _greedy_matching(order, cand_m, cand_p):
     return np.array(sel, dtype=int)
 
 
+def _greedy_partition(cand_m, cand_p, cand_d, n, threshold):
+    """Greedy matching of candidates that are not a matching, scanned in
+    order of increasing |Delta|, and its conflict count.  Returns the
+    selected (m, p, delta) in scan order and ``n_conflicts``."""
+    cand_abs = np.abs(cand_d)
+    # Ascending |Delta|, ties broken by state indices for determinism.
+    order = _greedy_matching(
+        np.lexsort((cand_p, cand_m, cand_abs)), cand_m, cand_p
+    )
+    m_idx, p_idx = cand_m[order], cand_p[order]
+    # A state is "conflicted" when its closest transition was within the
+    # threshold but it did not end up paired through it; a paired state is
+    # "happy" when its pair's |Delta| is that closest one.
+    best_abs = np.full(n, np.inf)
+    np.minimum.at(best_abs, cand_m, cand_abs)
+    np.minimum.at(best_abs, cand_p, cand_abs)
+    in_thr = best_abs <= threshold
+    happy = np.zeros(n, dtype=bool)
+    abs_delta = cand_abs[order]
+    happy[m_idx] = abs_delta == best_abs[m_idx]
+    happy[p_idx] = abs_delta == best_abs[p_idx]
+    n_conflicts = int(np.count_nonzero(in_thr & ~happy))
+    return m_idx, p_idx, cand_d[order], n_conflicts
+
+
+def _reach(p: ChainParams, nu: float) -> list[int]:
+    """The qubits whose flip can come within threshold of a drive at nu.
+
+    Flipping qubit k moves the rotating energy by omega_k - nu plus at most
+    2J from its two neighbours, so only qubits with |omega_k - nu| <=
+    a/2 + 2J can pair.  The bound is widened by four times the rounding
+    of a table difference: each entry takes 2L + 1 roundings of partial
+    sums no larger than ``scale / 2``, so a difference is off by at most
+    (L + 1) eps scale, and none that reads in threshold is missed, even
+    where omega0 dwarfs a.
+    """
+    L = p.L
+    scale = sum(abs(p.omega(k)) for k in range(L)) + L * (p.J + abs(nu))
+    slack = 4 * (L + 1) * np.finfo(float).eps * scale
+    reach = default_threshold(p) + 2.0 * p.J + slack
+    return [k for k in range(L) if abs(p.omega(k) - nu) <= reach]
+
+
+def _flip_candidates(e_rot, k, threshold):
+    """The in-threshold flips of qubit k as (m, p, delta) in ascending m,
+    where m has bit k clear and p = m ^ 2^k."""
+    bit = 1 << k
+    # Axis 1 of this view is bit k: [:, 0] holds the states with it clear,
+    # in ascending order, and [:, 1] their flip partners.
+    shape = (len(e_rot) >> (k + 1), 2, bit)
+    e = e_rot.reshape(shape)
+    d_lo = e[:, 1] - e[:, 0]
+    keep = np.abs(d_lo) <= threshold
+    clear = np.zeros(shape, dtype=bool)
+    clear[:, 0] = keep
+    lo = np.flatnonzero(clear)
+    return lo, lo ^ bit, d_lo[keep]
+
+
 def partition_blocks(pulse: Pulse, p: ChainParams) -> BlockPartition:
     """Pair every basis state with its closest single-flip partner.
 
     Candidate pairs are the single-flip pairs whose rotating-frame detuning
-    has magnitude at most :func:`default_threshold` (a/2), in order of
-    increasing |detuning|.
-    In the selective regime no state lies in two candidate pairs, so the
-    candidates already form a matching and all of them are taken: every
-    in-threshold state keeps its one candidate, ``n_conflicts`` is 0 and
-    no per-state bookkeeping runs.  Only when some state has two
-    candidates are they matched greedily in that order, a state keeping
-    its best partner that is still free.  Then ``n_conflicts`` counts the
-    in-threshold states that lost their closest candidate and fell through
-    to their next candidate or a singleton.  Flips outside the threshold
-    take no part in that count: they cannot put a state in threshold, nor
-    tie with an in-threshold |detuning|.
+    has magnitude at most :func:`default_threshold` (a/2).  Only the qubits
+    in :func:`_reach` are scanned, one on a walk pulse while 8J < a and
+    none when nu is far from every site frequency, so a call costs O(2^L)
+    and needs no sort.  Pairs come in ascending ``m_idx``.
+
+    One qubit's candidates already come in that order and share no state.
+    With two or more qubits in reach the candidates still form a matching
+    in the selective regime (no state in two of them), and all of them are
+    taken with ``n_conflicts`` 0.  Only when some state has two candidates
+    are they matched greedily in order of increasing |detuning|, ties
+    broken by state indices, a state keeping its best partner that is
+    still free.  Then ``n_conflicts`` counts the in-threshold states that
+    lost their closest candidate and fell through to their next candidate
+    or a singleton.  Flips outside the threshold take no part in that
+    count: they cannot put a state in threshold, nor tie with an
+    in-threshold |detuning|.  Either way the pairs are then sorted by m.
     """
     threshold = default_threshold(p)
     L, n = p.L, 1 << p.L
-    idx = np.arange(n)
     e_rot = rotating_energy_table(p, pulse.nu)
-
-    pair_m, pair_p, pair_d = [], [], []
-    for k in range(L):
-        # Axis 1 of these views is bit k: [:, 0] holds the states with it
-        # clear, in ascending order, and [:, 1] their flip partners.
-        bit = 1 << k
-        shape = (n >> (k + 1), 2, bit)
-        e = e_rot.reshape(shape)
-        d_lo = e[:, 1] - e[:, 0]
-        keep = np.abs(d_lo) <= threshold
-        lo = idx.reshape(shape)[:, 0][keep]
-        pair_m.append(lo)
-        pair_p.append(lo ^ bit)
-        pair_d.append(d_lo[keep])
-    cand_m = np.concatenate(pair_m)
-    cand_p = np.concatenate(pair_p)
-    cand_d = np.concatenate(pair_d)
-    cand_abs = np.abs(cand_d)
-
-    # Ascending |Delta|, ties broken by state indices for determinism.
-    order = np.lexsort((cand_p, cand_m, cand_abs))
-    greedy = np.bincount(np.concatenate([cand_m, cand_p]), minlength=n).max() > 1
-    if greedy:
-        order = _greedy_matching(order, cand_m, cand_p)
-    m_idx = cand_m[order]
-    p_idx = cand_p[order]
-    delta = cand_d[order]
-    taken = np.zeros(n, dtype=bool)
-    taken[m_idx] = taken[p_idx] = True
+    cands = [_flip_candidates(e_rot, k, threshold) for k in _reach(p, pulse.nu)]
 
     n_conflicts = 0
-    if greedy:
-        # A state is "conflicted" when its closest transition was within
-        # the threshold but it did not end up paired through it; a paired
-        # state is "happy" when its pair's |Delta| is that closest one.
-        best_abs = np.full(n, np.inf)
-        np.minimum.at(best_abs, cand_m, cand_abs)
-        np.minimum.at(best_abs, cand_p, cand_abs)
-        in_thr = best_abs <= threshold
-        happy = np.zeros(n, dtype=bool)
-        abs_delta = cand_abs[order]
-        happy[m_idx] = abs_delta == best_abs[m_idx]
-        happy[p_idx] = abs_delta == best_abs[p_idx]
-        n_conflicts = int(np.count_nonzero(in_thr & ~happy))
+    if not cands:
+        m_idx = p_idx = np.empty(0, dtype=np.intp)
+        delta = np.empty(0)
+    elif len(cands) == 1:
+        m_idx, p_idx, delta = cands[0]
+    else:
+        m_idx, p_idx, delta = (np.concatenate(c) for c in zip(*cands))
+        if np.bincount(np.concatenate([m_idx, p_idx]), minlength=n).max() > 1:
+            m_idx, p_idx, delta, n_conflicts = _greedy_partition(
+                m_idx, p_idx, delta, n, threshold
+            )
+        # A matching holds each m once, so this order is unique.
+        order = np.argsort(m_idx)
+        m_idx, p_idx, delta = m_idx[order], p_idx[order], delta[order]
 
+    taken = np.zeros(n, dtype=bool)
+    taken[m_idx] = taken[p_idx] = True
     return BlockPartition(
         L=L,
         m_idx=m_idx,
         p_idx=p_idx,
         delta=delta,
-        singletons=idx[~taken],
+        singletons=np.flatnonzero(~taken),
         e_rot=e_rot,
         n_conflicts=n_conflicts,
     )

@@ -55,6 +55,10 @@ class Pulse:
     target: tuple[BasisState, int] | None = None
 
     def __post_init__(self):
+        for name in ("nu", "Omega", "phi", "t_start", "duration"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"pulse {name} must be finite, got {value}")
         if not self.duration > 0:
             raise ValueError(f"pulse duration must be positive, got {self.duration}")
 

@@ -10,6 +10,7 @@ from isingpulse import (
     CapacityError,
     ChainParams,
     FrameError,
+    NumericalError,
     Pulse,
     StateVector,
     build_entanglement_protocol,
@@ -212,6 +213,19 @@ def test_pulse_clock_contract():
     pu = Pulse(nu=1.0, Omega=0.1, phi=0.0, duration=1.0, t_start=2.0)
     with pytest.raises(FrameError):
         propagate_pulse(ground_state(2), pu, p)
+
+
+def test_norm_guard_rejects_nan_amplitudes():
+    # abs(nan - 1) > tol is False, so the guard has to be written to fail
+    # on NaN.
+    p = ChainParams(L=3, a=1.0)
+    pu = Pulse(nu=1.0, Omega=0.1, phi=0.0, duration=1.0, t_start=0.0)
+
+    def step(amps, pulse):
+        return np.full_like(amps, np.nan)
+
+    with pytest.raises(NumericalError, match="norm drifted to nan"):
+        propagate_pulse(ground_state(3), pu, p, step)
 
 
 def test_capacity_cap():

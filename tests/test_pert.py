@@ -145,6 +145,7 @@ def _reference_partition(pulse, p):
             partner_of[m], partner_of[q] = q, m
             sel.append(i)
     sel = np.array(sel, dtype=int)
+    sel = sel[np.argsort(cand_m[sel])]  # pairs in ascending m
 
     in_thr = best_abs <= threshold
     happy = np.zeros(n, dtype=bool)
@@ -159,11 +160,27 @@ def _reference_partition(pulse, p):
 MATCHING_J = (0.3, 1.945, 9.99, 100.0 / 5, 100.0 / 4, 100.0 / 3, 100.0 / 2)
 
 
+def _reach_pulses(p):
+    """Hand-built pulses that probe which qubits the partition scans: nu on
+    a grid between and beyond the site frequencies, and nu just inside and
+    just outside the reach bound |omega_k - nu| = a/2 + 2J of the end and
+    middle qubits."""
+    edge = default_threshold(p) + 2.0 * p.J
+    nus = list(np.linspace(p.omega(0) - p.a, p.omega(p.L - 1) + p.a, 8))
+    for k in sorted({0, p.L // 2, p.L - 1}):
+        for side in (-1.0, 1.0):
+            nus += [p.omega(k) + side * (edge + 1e-9),
+                    p.omega(k) + side * (edge - 1e-9)]
+    return [Pulse(nu=nu, Omega=0.118, phi=0.0, duration=1.0, t_start=0.0)
+            for nu in nus]
+
+
 @pytest.mark.parametrize("L", range(3, 11))
 def test_partition_matches_reference_greedy_loop_bit_for_bit(L, monkeypatch):
     # Both walk orientations (the mirror walk at omega0 = a, where its
     # intended energies are positive), over couplings from the selective
-    # regime to the a/5 .. a/2 collisions.
+    # regime to the a/5 .. a/2 collisions, plus hand-built pulses at and
+    # around the reach bound, which no walk pulse comes near.
     import isingpulse.pert as pert
 
     greedy_calls = []
@@ -179,17 +196,34 @@ def test_partition_matches_reference_greedy_loop_bit_for_bit(L, monkeypatch):
         for J in MATCHING_J:
             p = ChainParams(L=L, omega0=100.0 if mirror else 0.0, a=100.0, J=J)
             prot = build_entanglement_protocol(p, 0.118, mirror=mirror)
-            for pu in prot.pulses:
-                part = partition_blocks(pu, p)
-                got = (part.m_idx, part.p_idx, part.delta, part.singletons)
-                *want, n_conflicts = _reference_partition(pu, p)
-                for g, w in zip(got, want):
-                    assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
-                assert part.n_conflicts == n_conflicts
+            for pu in prot.pulses + tuple(_reach_pulses(p)):
+                n_conflicts = _assert_matches_reference(pu, p)
                 n_pulses += 1
                 n_conflicted += n_conflicts > 0
     # Both branches ran, and every conflicted pulse took the greedy one.
     assert 0 < n_conflicted <= len(greedy_calls) < n_pulses
+
+
+def _assert_matches_reference(pulse, p):
+    """Compare the partition with the reference byte for byte; returns
+    the conflict count."""
+    part = partition_blocks(pulse, p)
+    got = (part.m_idx, part.p_idx, part.delta, part.singletons)
+    *want, n_conflicts = _reference_partition(pulse, p)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    assert part.n_conflicts == n_conflicts
+    return n_conflicts
+
+
+@pytest.mark.parametrize("omega0", [1e12, 1e15, 1e16])
+def test_partition_reach_covers_table_rounding(omega0):
+    # At omega0 >> a the energy table's differences round by as much as a
+    # or more; the reach widens by a bound on that rounding, so the
+    # partition still equals the scan over every qubit.
+    p = ChainParams(L=6, omega0=omega0, a=1.0, J=0.3)
+    for pu in _reach_pulses(p):
+        _assert_matches_reference(pu, p)
 
 
 def test_partition_blocks_object_view():
@@ -202,12 +236,14 @@ def test_partition_blocks_object_view():
 
 
 def test_two_level_block_validates_single_flip():
-    # Every pair of every walk pulse differs in exactly one bit.
+    # Every pair of every walk pulse differs in exactly one bit, and the
+    # pairs come in strictly ascending m.
     prot = build_entanglement_protocol(P6, 0.118)
     for pu in prot.pulses:
         part = partition_blocks(pu, P6)
         diff = part.m_idx ^ part.p_idx
         assert np.all(diff > 0) and np.all(diff & (diff - 1) == 0)
+        assert np.all(np.diff(part.m_idx) > 0)
 
 
 # ------------------------------------------------------ block evolution

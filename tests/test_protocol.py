@@ -119,6 +119,18 @@ def test_mirror_protocol_walks_other_way():
     assert protocol_target_index(prot) == 0b100001
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["nu", "Omega", "phi", "t_start", "duration"])
+def test_pulse_rejects_non_finite_fields(field, value):
+    # Such a pulse used to run: Omega = nan and nu = inf gave a NaN state on
+    # both pert routes, duration = inf on all three, and nu = nan a
+    # misleading FrameError on the pert routes.
+    fields = dict(nu=1.0, Omega=0.1, phi=0.0, duration=1.0, t_start=0.0)
+    fields[field] = value
+    with pytest.raises(ValueError, match=f"^pulse {field} must be finite"):
+        Pulse(**fields)
+
+
 def test_protocol_rejects_non_contiguous_pulses():
     pu1 = Pulse(nu=1.0, Omega=0.1, phi=0.0, duration=1.0, t_start=0.0)
     pu2 = Pulse(nu=1.0, Omega=0.1, phi=0.0, duration=1.0, t_start=1.5)
