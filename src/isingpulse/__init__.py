@@ -34,8 +34,6 @@ from .fidelity import (
 from .hamiltonian import (
     ChainParams,
     ChaosEstimate,
-    RotFrameHam,
-    build_rot_ham,
     chaos_border,
     h0_energy_table,
 )
@@ -72,12 +70,10 @@ __all__ = [
     "Protocol",
     "ProtocolError",
     "Pulse",
-    "RotFrameHam",
     "SpinChainError",
     "StateVector",
     "build_entanglement_protocol",
     "build_ideal_state",
-    "build_rot_ham",
     "chaos_border",
     "dynamical_fidelity",
     "epsilon_param",

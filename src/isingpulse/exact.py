@@ -33,12 +33,15 @@ import scipy
 
 from .basis import NORM_TOL, StateVector, excitation_count, spin_z_levels
 from .errors import CapacityError, FrameError, NumericalError
-from .hamiltonian import ChainParams, RotFrameHam, build_rot_ham
+from .hamiltonian import ChainParams, RotFrameHam
 from .protocol import Protocol, Pulse
 
-# Dense eigendecompositions of 2^L x 2^L matrices stop being desk-feasible
-# past this point.
-MAX_QUBITS_DENSE = 14
+# One evd eigh of the n x n pulse matrix, n = 2^L, peaks at about 4.3 n^2
+# doubles: the matrix, its eigenvectors and dsyevd's 2 n^2 workspace
+# (580 MB measured at L = 12).  That is about 2.3 GB at L = 13 and 9.2 GB
+# at L = 14, more than an 8 GB machine holds, so L = 14 would exhaust
+# memory instead of raising CapacityError.
+MAX_QUBITS_DENSE = 13
 
 
 def _spin_z_phase(x: complex, L: int) -> np.ndarray:
@@ -76,13 +79,11 @@ class PulsePropagator:
         return cls(ham=ham, eigenvalues=w, eigenvectors=v)
 
     def apply(self, amps: np.ndarray, tau: float) -> np.ndarray:
-        """exp(-i H tau) applied to rotating-frame amplitudes."""
+        """exp(-i H tau) applied to rotating-frame amplitudes.  Every pulse
+        is real, so are the eigenvectors: the real and imaginary parts are
+        multiplied as two float columns, and v is never cast to complex."""
         v = self.eigenvectors
         phase = np.exp(-1j * self.eigenvalues * tau)
-        if np.iscomplexobj(v):
-            return v @ (phase * (v.conj().T @ amps))
-        # Real eigenvectors (phi = 0): multiply the real and imaginary
-        # parts as two float columns, so v is never cast to complex.
         x = np.ascontiguousarray(amps, dtype=complex).view(float).reshape(-1, 2)
         y = (v.T @ x).view(complex).ravel() * phase
         return (v @ y.view(float).reshape(-1, 2)).view(complex).ravel()
@@ -97,10 +98,10 @@ def _transition_key(pulse: Pulse) -> tuple:
     energies were subtracted.  A hand-built pulse keys by its nu.
     """
     if pulse.target is None:
-        return (pulse.nu, pulse.Omega, pulse.phi)
+        return (pulse.nu, pulse.Omega)
     src, k = pulse.target
     excited = sum(src.index >> j & 1 for j in (k - 1, k + 1) if 0 <= j < src.L)
-    return (k, excited, pulse.Omega, pulse.phi)
+    return (k, excited, pulse.Omega)
 
 
 # Walk pulses that share a transition key differ in nu by rounding only,
@@ -130,10 +131,9 @@ def _dense_step(p: ChainParams, pulses=()):
     def step(amps: np.ndarray, pulse: Pulse) -> np.ndarray:
         key = _transition_key(pulse)
         prop = cache.get(key)
-        if prop is None:
-            prop = cache[key] = PulsePropagator.build(build_rot_ham(p, pulse))
-        elif abs(prop.ham.nu - pulse.nu) > _SAME_NU_RTOL * abs(pulse.nu):
-            prop = PulsePropagator.build(build_rot_ham(p, pulse))
+        if prop is None or abs(prop.ham.nu - pulse.nu) > _SAME_NU_RTOL * abs(pulse.nu):
+            prop = PulsePropagator.build(RotFrameHam(p, pulse.nu, pulse.Omega))
+            cache.setdefault(key, prop)
         uses[key] -= 1
         if uses[key] <= 0:
             del cache[key], uses[key]
@@ -147,13 +147,16 @@ def propagate_pulse(
 ) -> StateVector:
     """Evolve a lab-frame state through one pulse.
 
-    The state's clock must sit at the pulse start.  ``step(amps, pulse)``
+    The state must have the chain's qubit count and its clock must sit at
+    the pulse start; either mismatch raises FrameError.  ``step(amps, pulse)``
     evolves rotating-frame amplitudes over the pulse; it defaults to the
     exact dense step.  Returns the lab-frame state at the pulse end;
     norm conservation is enforced to 1e-10, and a NaN norm fails it.
     """
     if step is None:
         step = _dense_step(p)
+    if psi.L != p.L:
+        raise FrameError(f"state has {psi.L} qubits, the chain has {p.L}")
     if abs(psi.time - pulse.t_start) > 1e-9 * (1.0 + abs(pulse.t_start)):
         raise FrameError(
             f"state clock {psi.time} does not match pulse start {pulse.t_start}"

@@ -17,14 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .basis import total_spin_z
-
-if TYPE_CHECKING:  # pragma: no cover - annotation only
-    from .protocol import Pulse
 
 
 @dataclass(frozen=True)
@@ -116,68 +112,30 @@ class RotFrameHam:
     """Stationary rotating-frame Hamiltonian of one pulse.
 
     Stored as the diagonal (rotating energies) plus the implicit single-flip
-    off-diagonal structure; only the dense propagator materializes the full
-    matrix.  With phase phi the off-diagonal element for a ground-to-excited
-    flip is -(alpha - i*beta)/2 where alpha = Omega*cos(phi),
-    beta = Omega*sin(phi); for phi = 0 every such element is -Omega/2 and
-    the matrix is real symmetric.
+    off-diagonal structure, every element of which is -Omega/2: pulses are
+    real, so the matrix is real symmetric.  Only the dense propagator
+    materializes it.
     """
 
     params: ChainParams
     nu: float
     Omega: float
-    phi: float = 0.0
     diagonal: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        for name in ("nu", "Omega", "phi"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"pulse field {name} must be finite")
         diag = rotating_energy_table(self.params, self.nu)
         diag.setflags(write=False)
         object.__setattr__(self, "diagonal", diag)
 
-    @property
-    def alpha(self) -> float:
-        return self.Omega * np.cos(self.phi)
-
-    @property
-    def beta(self) -> float:
-        return self.Omega * np.sin(self.phi)
-
-    @property
-    def dim(self) -> int:
-        return 1 << self.params.L
-
-    @property
-    def is_real(self) -> bool:
-        return self.beta == 0.0
-
     def dense(self) -> np.ndarray:
-        """Materialize the full matrix (real symmetric when beta = 0)."""
-        L, n = self.params.L, self.dim
-        idx = np.arange(n)
-        if self.is_real:
-            h = np.zeros((n, n))
-            np.fill_diagonal(h, self.diagonal)
-            off = -0.5 * self.alpha
-            for k in range(L):
-                h[idx ^ (1 << k), idx] = off
-        else:
-            h = np.zeros((n, n), dtype=complex)
-            np.fill_diagonal(h, self.diagonal)
-            up = -0.5 * (self.alpha - 1j * self.beta)  # ground -> excited
-            for k in range(L):
-                bit = 1 << k
-                lo = idx[(idx & bit) == 0]
-                h[lo ^ bit, lo] = up
-                h[lo, lo ^ bit] = np.conj(up)
+        """Materialize the full real symmetric matrix."""
+        L = self.params.L
+        idx = np.arange(1 << L)
+        h = np.zeros((idx.size, idx.size))
+        np.fill_diagonal(h, self.diagonal)
+        for k in range(L):
+            h[idx ^ (1 << k), idx] = -0.5 * self.Omega
         return h
-
-
-def build_rot_ham(p: ChainParams, pulse: "Pulse") -> RotFrameHam:
-    """Rotating-frame Hamiltonian for one pulse."""
-    return RotFrameHam(p, nu=pulse.nu, Omega=pulse.Omega, phi=pulse.phi)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .basis import BasisState, flip
 from .errors import ProtocolError
@@ -49,13 +50,15 @@ class Pulse:
 
     nu: float
     Omega: float
-    phi: float
     duration: float
     t_start: float
     target: tuple[BasisState, int] | None = None
+    # Every pulse is real.  The constant stays only because bench/workloads.py,
+    # bench/test_bench.py and bench/oracle.py read it from walk pulses.
+    phi: ClassVar[float] = 0.0
 
     def __post_init__(self):
-        for name in ("nu", "Omega", "phi", "t_start", "duration"):
+        for name in ("nu", "Omega", "t_start", "duration"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"pulse {name} must be finite, got {value}")
@@ -161,7 +164,6 @@ def build_entanglement_protocol(
             Pulse(
                 nu=float(abs(energies[i + 1] - energies[i])),
                 Omega=Omega,
-                phi=0.0,
                 duration=duration,
                 t_start=t,
                 target=(path[i], k),
@@ -273,9 +275,9 @@ def validate_selective(p: ChainParams, Omega: float) -> SelectiveReport:
 
 
 def format_protocol_table(prot: Protocol) -> str:
-    """One pulse per line: index, nu, Omega, phi, tau, t_start, source bits
+    """One pulse per line: index, nu, Omega, tau, t_start, source bits
     (qubit 0 leftmost), flipped qubit."""
-    lines = ["# pulse nu omega phi tau t_start source_bits flipped_qubit"]
+    lines = ["# pulse nu omega tau t_start source_bits flipped_qubit"]
     for i, pu in enumerate(prot.pulses):
         if pu.target is not None:
             src, k = pu.target
@@ -283,7 +285,7 @@ def format_protocol_table(prot: Protocol) -> str:
         else:
             bits, kq = "-", "-"
         lines.append(
-            f"{i} {pu.nu:.17g} {pu.Omega:.17g} {pu.phi:.17g} "
+            f"{i} {pu.nu:.17g} {pu.Omega:.17g} "
             f"{pu.duration:.17g} {pu.t_start:.17g} {bits} {kq}"
         )
     return "\n".join(lines) + "\n"

@@ -8,7 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from isingpulse import BasisState, ChainParams, RotFrameHam, h0_energy_table
+from isingpulse import BasisState, ChainParams, h0_energy_table
+from isingpulse.hamiltonian import RotFrameHam
 from isingpulse.protocol import Protocol
 
 

@@ -114,7 +114,7 @@ def test_criterion_2_two_level_oracle():
     for frac in (0.5, 1.0):  # pi/2 and pi pulses
         nu = resonance_frequency(zero, 1, p)
         tau = frac * math.pi / Omega
-        pu = Pulse(nu=nu, Omega=Omega, phi=0.0, duration=tau, t_start=0.0)
+        pu = Pulse(nu=nu, Omega=Omega, duration=tau, t_start=0.0)
         out = propagate_pulse(ground_state(3), pu, p)
         e_rot = rotating_energy_table(p, nu)
         # closed form on full lab amplitudes, pulse starting at t = 0

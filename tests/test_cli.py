@@ -133,6 +133,16 @@ def test_run_pert_state_dump_beyond_the_dense_cap(tmp_path):
     assert sum(probs) == pytest.approx(1.0, abs=1e-10)
 
 
+def test_run_exact_at_L14_is_past_the_dense_cap(tmp_path, capsys):
+    # One L = 14 eigh would need about 9 GB, so the exact route refuses the
+    # chain before building anything; the pert route still runs it.
+    args = ("run", "--L", "14", "--J", "1.945", "--a", "100", "--omega", "0.118")
+    assert run_cli(*args, "--propagator", "exact") == EXIT_NUMERICAL
+    assert "exceeds the dense-propagator cap 13" in capsys.readouterr().err
+    out = str(tmp_path / "r.txt")
+    assert run_cli(*args, "--propagator", "pert", "--out", out) == EXIT_OK
+
+
 def test_sweep_csv_schema_and_determinism(tmp_path):
     args = (
         "sweep", "--param", "J", "--from", "0.5", "--to", "2.0", "--steps", "4",

@@ -15,17 +15,18 @@ from isingpulse import (
     StateVector,
     build_entanglement_protocol,
     build_ideal_state,
-    build_rot_ham,
     flip,
     from_rotating,
     ground_state,
     propagate_pulse,
     resonance_frequency,
     run_protocol,
+    run_protocol_pert,
     to_rotating,
 )
 from isingpulse import exact
 from isingpulse.exact import PulsePropagator, propagate_protocol
+from isingpulse.hamiltonian import RotFrameHam
 
 from chain_helpers import total_spin_z
 
@@ -110,7 +111,7 @@ def test_zero_drive_keeps_populations():
     rng = np.random.default_rng(1)
     p = ChainParams(L=4, omega0=0.4, a=2.2, J=0.6)
     psi = _random_state(4, rng)
-    pu = Pulse(nu=1.7, Omega=0.0, phi=0.0, duration=3.1, t_start=0.0)
+    pu = Pulse(nu=1.7, Omega=0.0, duration=3.1, t_start=0.0)
     out = propagate_pulse(psi, pu, p)
     assert np.allclose(np.abs(out.amplitudes), np.abs(psi.amplitudes), atol=1e-12)
     assert out.time == pytest.approx(3.1)
@@ -121,8 +122,7 @@ def test_single_qubit_half_pulse_equal_superposition():
     p = ChainParams(L=1, omega0=3.0, a=1.0, J=0.0)
     Omega = 0.25
     pu = Pulse(
-        nu=p.omega0, Omega=Omega, phi=0.0,
-        duration=math.pi / (2 * Omega), t_start=0.0,
+        nu=p.omega0, Omega=Omega, duration=math.pi / (2 * Omega), t_start=0.0
     )
     out = propagate_pulse(ground_state(1), pu, p)
     probs = np.abs(out.amplitudes) ** 2
@@ -135,7 +135,7 @@ def test_resonant_pi_pulse_full_transfer():
     Omega = 0.05
     zero = BasisState(0, 3)
     pu = Pulse(
-        nu=resonance_frequency(zero, 0, p), Omega=Omega, phi=0.0,
+        nu=resonance_frequency(zero, 0, p), Omega=Omega,
         duration=math.pi / Omega, t_start=0.0,
     )
     out = propagate_pulse(ground_state(3), pu, p)
@@ -149,18 +149,17 @@ def test_semigroup_and_energy_conservation():
     Omega, nu, tau = 0.3, 10.2, 4.0
     psi0 = ground_state(3)
     full = propagate_pulse(
-        psi0, Pulse(nu=nu, Omega=Omega, phi=0.0, duration=tau, t_start=0.0), p
+        psi0, Pulse(nu=nu, Omega=Omega, duration=tau, t_start=0.0), p
     )
     half1 = propagate_pulse(
-        psi0, Pulse(nu=nu, Omega=Omega, phi=0.0, duration=tau / 2, t_start=0.0), p
+        psi0, Pulse(nu=nu, Omega=Omega, duration=tau / 2, t_start=0.0), p
     )
     half2 = propagate_pulse(
-        half1, Pulse(nu=nu, Omega=Omega, phi=0.0, duration=tau / 2, t_start=tau / 2), p
+        half1, Pulse(nu=nu, Omega=Omega, duration=tau / 2, t_start=tau / 2), p
     )
     assert np.max(np.abs(full.amplitudes - half2.amplitudes)) < 1e-8
 
-    h = build_rot_ham(p, Pulse(nu=nu, Omega=Omega, phi=0.0, duration=tau,
-                               t_start=0.0)).dense()
+    h = RotFrameHam(p, nu, Omega).dense()
     energies = []
     for state, t in ((psi0, 0.0), (half1, tau / 2), (full, tau)):
         rot = to_rotating(state, nu, t)
@@ -189,12 +188,12 @@ def test_exact_pulse_matches_small_step_integrator(L):
     rng = np.random.default_rng(L)
     p = ChainParams(L=L, omega0=0.5, a=3.0, J=0.4)
     psi = _random_state(L, rng)
-    pu = Pulse(nu=2.0, Omega=0.6, phi=0.0, duration=2.5, t_start=0.0)
+    pu = Pulse(nu=2.0, Omega=0.6, duration=2.5, t_start=0.0)
     out = propagate_pulse(psi, pu, p)
 
     rot_in = to_rotating(psi, pu.nu, 0.0)
-    ref_rot = _rk4_reference(rot_in.amplitudes, build_rot_ham(p, pu).dense(),
-                             pu.duration)
+    h = RotFrameHam(p, pu.nu, pu.Omega).dense()
+    ref_rot = _rk4_reference(rot_in.amplitudes, h, pu.duration)
     ref = from_rotating(
         StateVector(ref_rot, time=pu.duration, rot_nu=pu.nu), pu.nu, pu.duration
     )
@@ -203,23 +202,40 @@ def test_exact_pulse_matches_small_step_integrator(L):
 
 def test_propagator_unitarity_defect():
     p = ChainParams(L=4, omega0=0.0, a=5.0, J=0.5)
-    pu = Pulse(nu=5.0, Omega=0.3, phi=0.4, duration=2.0, t_start=0.0)
-    prop = PulsePropagator.build(build_rot_ham(p, pu))
+    pu = Pulse(nu=5.0, Omega=0.3, duration=2.0, t_start=0.0)
+    prop = PulsePropagator.build(RotFrameHam(p, pu.nu, pu.Omega))
     assert _unitarity_defect(prop, pu.duration) < 1e-10
 
 
 def test_pulse_clock_contract():
     p = ChainParams(L=2, a=1.0)
-    pu = Pulse(nu=1.0, Omega=0.1, phi=0.0, duration=1.0, t_start=2.0)
+    pu = Pulse(nu=1.0, Omega=0.1, duration=1.0, t_start=2.0)
     with pytest.raises(FrameError):
         propagate_pulse(ground_state(2), pu, p)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        run_protocol,
+        lambda psi, prot: run_protocol_pert(psi, prot, "block"),
+        lambda psi, prot: run_protocol_pert(psi, prot, "block+pt1"),
+    ],
+    ids=["exact", "block", "block+pt1"],
+)
+def test_state_with_wrong_qubit_count_is_refused(run):
+    # Such a state used to reach the step: a matmul ValueError on the exact
+    # route, an IndexError on both pert routes.
+    prot = build_entanglement_protocol(ChainParams(L=4, a=100.0, J=1.945), 0.118)
+    with pytest.raises(FrameError, match="state has 3 qubits, the chain has 4"):
+        run(ground_state(3), prot)
 
 
 def test_norm_guard_rejects_nan_amplitudes():
     # abs(nan - 1) > tol is False, so the guard has to be written to fail
     # on NaN.
     p = ChainParams(L=3, a=1.0)
-    pu = Pulse(nu=1.0, Omega=0.1, phi=0.0, duration=1.0, t_start=0.0)
+    pu = Pulse(nu=1.0, Omega=0.1, duration=1.0, t_start=0.0)
 
     def step(amps, pulse):
         return np.full_like(amps, np.nan)
@@ -230,7 +246,7 @@ def test_norm_guard_rejects_nan_amplitudes():
 
 def test_capacity_cap():
     p = ChainParams(L=15, a=1.0)
-    pu = Pulse(nu=1.0, Omega=0.1, phi=0.0, duration=1.0, t_start=0.0)
+    pu = Pulse(nu=1.0, Omega=0.1, duration=1.0, t_start=0.0)
     psi = StateVector(np.eye(1, 1 << 15, dtype=complex)[0])
     with pytest.raises(CapacityError):
         propagate_pulse(psi, pu, p)
@@ -307,9 +323,9 @@ def test_hand_built_pulses_with_equal_frequency_share_one_build(monkeypatch):
     built = _count_builds(monkeypatch)
     p = ChainParams(L=3, omega0=0.0, a=10.0, J=0.7)
     pulses = (
-        Pulse(nu=10.2, Omega=0.3, phi=0.0, duration=1.5, t_start=0.0),
-        Pulse(nu=10.2, Omega=0.3, phi=0.0, duration=2.5, t_start=1.5),
-        Pulse(nu=10.2, Omega=0.3, phi=0.4, duration=1.0, t_start=4.0),
+        Pulse(nu=10.2, Omega=0.3, duration=1.5, t_start=0.0),
+        Pulse(nu=10.2, Omega=0.3, duration=2.5, t_start=1.5),
+        Pulse(nu=10.2, Omega=0.4, duration=1.0, t_start=4.0),
     )
     run_protocol(ground_state(3), Protocol(pulses=pulses, params=p))
     assert len(built) == 2
@@ -365,13 +381,13 @@ def test_pulse_whose_nu_disagrees_with_its_target_gets_its_own_build(monkeypatch
 
 def _reference_step(p):
     """The exact step as first written: scipy's default eigh driver and a
-    cache keyed by the float (nu, Omega, phi), applied in complex."""
+    cache keyed by the float (nu, Omega), applied in complex."""
     cache = {}
 
     def step(amps, pulse):
-        key = (pulse.nu, pulse.Omega, pulse.phi)
+        key = (pulse.nu, pulse.Omega)
         if key not in cache:
-            h = build_rot_ham(p, pulse).dense()
+            h = RotFrameHam(p, pulse.nu, pulse.Omega).dense()
             cache[key] = scipy.linalg.eigh(h, check_finite=False, driver="evr")
         w, v = cache[key]
         return v @ (np.exp(-1j * w * pulse.duration) * (v.conj().T @ amps))
@@ -381,7 +397,7 @@ def _reference_step(p):
 
 def _expm_reference(psi, prot):
     for pu in prot.pulses:
-        h = build_rot_ham(prot.params, pu).dense()
+        h = RotFrameHam(prot.params, pu.nu, pu.Omega).dense()
         rot = to_rotating(psi, pu.nu, pu.t_start).amplitudes
         out = scipy.linalg.expm(-1j * h * pu.duration) @ rot
         psi = from_rotating(StateVector(out, time=pu.t_end, rot_nu=pu.nu), pu.nu, pu.t_end)

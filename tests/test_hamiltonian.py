@@ -8,7 +8,6 @@ from isingpulse import (
     BasisState,
     ChainParams,
     Pulse,
-    build_rot_ham,
     chaos_border,
     flip,
     spin_z,
@@ -16,6 +15,7 @@ from isingpulse import (
 )
 from isingpulse import basis, protocol_fidelity
 from isingpulse.hamiltonian import (
+    RotFrameHam,
     _static_energy_table,
     h0_energy_table,
     rotating_energy_table,
@@ -24,8 +24,11 @@ from isingpulse.hamiltonian import (
 from chain_helpers import single_flip_deltas, spin_z_columns, total_spin_z, xi
 
 
-def _pulse(nu, Omega, phi=0.0):
-    return Pulse(nu=nu, Omega=Omega, phi=phi, duration=1.0, t_start=0.0)
+def _rot_ham(p, nu, Omega):
+    """The pulse's Hamiltonian, built as the exact route builds it: from a
+    validated Pulse."""
+    pu = Pulse(nu=nu, Omega=Omega, duration=1.0, t_start=0.0)
+    return RotFrameHam(p, pu.nu, pu.Omega)
 
 
 # ------------------------------------------------------------------ h0
@@ -200,7 +203,7 @@ def test_single_flip_deltas_has_L_entries():
 
 def test_rot_ham_zero_drive_is_diagonal():
     p = ChainParams(L=3, omega0=0.2, a=1.0, J=0.5)
-    h = build_rot_ham(p, _pulse(nu=1.2, Omega=0.0)).dense()
+    h = _rot_ham(p, nu=1.2, Omega=0.0).dense()
     assert np.allclose(h, np.diag(np.diag(h)))
     assert np.allclose(np.sort(np.diag(h)), np.sort(rotating_energy_table(p, 1.2)))
 
@@ -208,7 +211,7 @@ def test_rot_ham_zero_drive_is_diagonal():
 def test_rot_ham_offdiagonal_count_and_value():
     p = ChainParams(L=4, omega0=0.0, a=1.0, J=0.2)
     Omega = 0.37
-    h = build_rot_ham(p, _pulse(nu=1.0, Omega=Omega)).dense()
+    h = _rot_ham(p, nu=1.0, Omega=Omega).dense()
     off = h - np.diag(np.diag(h))
     nz = np.nonzero(off)
     assert len(nz[0]) == 2 * 4 * (1 << 3)  # L*2^(L-1) unordered pairs
@@ -219,23 +222,13 @@ def test_rot_ham_single_qubit_matrix():
     p = ChainParams(L=1, omega0=2.0, a=1.0, J=0.0)
     nu, Omega = 1.5, 0.3
     xi = p.omega0 - nu
-    h = build_rot_ham(p, _pulse(nu=nu, Omega=Omega)).dense()
+    h = _rot_ham(p, nu=nu, Omega=Omega).dense()
     assert np.allclose(h, [[-xi / 2, -Omega / 2], [-Omega / 2, xi / 2]], atol=1e-14)
-
-
-def test_rot_ham_hermitian_with_phase():
-    p = ChainParams(L=3, omega0=0.0, a=1.0, J=0.3)
-    h = build_rot_ham(p, _pulse(nu=1.0, Omega=0.2, phi=0.8)).dense()
-    assert np.array_equal(h, h.conj().T)
-    ham = build_rot_ham(p, _pulse(nu=1.0, Omega=0.2, phi=0.8))
-    assert not ham.is_real
-    assert ham.alpha == pytest.approx(0.2 * np.cos(0.8))
-    assert ham.beta == pytest.approx(0.2 * np.sin(0.8))
 
 
 def test_rot_ham_xi_exact():
     p = ChainParams(L=4, omega0=1.0, a=2.5, J=0.0)
-    ham = build_rot_ham(p, _pulse(nu=3.2, Omega=0.1))
+    ham = _rot_ham(p, nu=3.2, Omega=0.1)
     for k in range(4):
         assert xi(ham)[k] == p.omega0 + p.a * k - 3.2
         # At J = 0, flipping qubit k alone costs its detuning on the diagonal.
@@ -246,7 +239,7 @@ def test_rot_ham_xi_exact():
 def test_rot_ham_rejects_nonfinite():
     p = ChainParams(L=2, a=1.0)
     with pytest.raises(ValueError):
-        build_rot_ham(p, _pulse(nu=np.nan, Omega=0.1))
+        _rot_ham(p, nu=np.nan, Omega=0.1)
 
 
 # ------------------------------------------------------ fake transitions

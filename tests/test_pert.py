@@ -171,7 +171,7 @@ def _reach_pulses(p):
         for side in (-1.0, 1.0):
             nus += [p.omega(k) + side * (edge + 1e-9),
                     p.omega(k) + side * (edge - 1e-9)]
-    return [Pulse(nu=nu, Omega=0.118, phi=0.0, duration=1.0, t_start=0.0)
+    return [Pulse(nu=nu, Omega=0.118, duration=1.0, t_start=0.0)
             for nu in nus]
 
 
@@ -356,7 +356,7 @@ def test_zero_drive_protocol_is_identity_up_to_phase():
     pulses = []
     t = 0.0
     for nu in (50.0, 100.0):
-        pulses.append(Pulse(nu=nu, Omega=0.0, phi=0.0, duration=2.0, t_start=t))
+        pulses.append(Pulse(nu=nu, Omega=0.0, duration=2.0, t_start=t))
         t += 2.0
     prot = Protocol(pulses=tuple(pulses), params=P6, kind="custom")
     pert = run_protocol_pert(ground_state(6), prot)
@@ -392,7 +392,7 @@ def test_embedded_pair_matches_exact_when_drive_is_weak():
     Om = 4e-4
     zero = BasisState(0, 3)
     pu = Pulse(
-        nu=resonance_frequency(zero, 1, p), Omega=Om, phi=0.0,
+        nu=resonance_frequency(zero, 1, p), Omega=Om,
         duration=math.pi / Om, t_start=0.0,
     )
     prot = Protocol(pulses=(pu,), params=p, kind="custom")
@@ -403,6 +403,25 @@ def test_embedded_pair_matches_exact_when_drive_is_weak():
     # everything outside the pair is non-resonant leakage, bounded by eta
     others = [i for i in range(8) if i not in pair]
     assert np.max(np.abs(exact.amplitudes[others]) ** 2) < 10 * eta_param(Om, p.a)
+
+    # A driven sequence that is no walk: two pi/2 pulses on qubit 0 of
+    # |0000>, then a pi/2 pulse at qubit 1's resonance from |1000>.  The
+    # first two chain through the frame transforms on one transition, the
+    # third splits the state; every amplitude is compared.
+    p = ChainParams(L=4, omega0=0.0, a=100.0, J=1.945)
+    Om = 0.118
+    half = math.pi / (2 * Om)
+    nus = [resonance_frequency(BasisState(0, 4), 0, p)] * 2
+    nus.append(resonance_frequency(BasisState(0b0001, 4), 1, p))
+    pulses = tuple(
+        Pulse(nu=nu, Omega=Om, duration=half, t_start=i * half)
+        for i, nu in enumerate(nus)
+    )
+    prot = Protocol(pulses=pulses, params=p, kind="custom")
+    exact = run_protocol(ground_state(4), prot).amplitudes
+    for order, tol in (("block", 5e-3), (ORDER_BLOCK_PT1, 1e-4)):
+        pert = run_protocol_pert(ground_state(4), prot, order).amplitudes
+        assert np.max(np.abs(exact - pert)) < tol, order
 
 
 def test_block_and_pt1_agree_with_exact_fidelity():
@@ -507,7 +526,7 @@ def test_block_eigensystem_diagonalizes_block_hamiltonian():
     # The per-pair rotations and the non-resonant split must reconstruct the
     # dense rotating-frame Hamiltonian exactly, and the gathered rotations
     # must apply W^T and W.
-    from isingpulse.hamiltonian import build_rot_ham
+    from isingpulse.hamiltonian import RotFrameHam
 
     p = ChainParams(L=4, omega0=0.0, a=30.0, J=1.2)
     prot = build_entanglement_protocol(p, 0.15)
@@ -517,7 +536,7 @@ def test_block_eigensystem_diagonalizes_block_hamiltonian():
         eps0, c, s = _block_rotation(part, pu.Omega)
         wd = _dense_rotation(part, c, s)
         v = _dense_nonresonant_coupling(part, pu.Omega)
-        h = build_rot_ham(p, pu).dense()
+        h = RotFrameHam(p, pu.nu, pu.Omega).dense()
         hb = h - v
         assert np.max(np.abs(hb @ wd - wd @ np.diag(eps0))) < 1e-12
         assert np.max(np.abs(wd.T @ wd - np.eye(1 << 4))) < 1e-12

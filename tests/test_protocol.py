@@ -86,7 +86,6 @@ def test_protocol_frequencies_are_exact_resonances():
     for pu in prot.pulses:
         src, k = pu.target
         assert pu.nu == resonance_frequency(src, k, P6)
-        assert pu.phi == 0.0
 
 
 def test_protocol_requires_three_qubits():
@@ -120,20 +119,20 @@ def test_mirror_protocol_walks_other_way():
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("field", ["nu", "Omega", "phi", "t_start", "duration"])
+@pytest.mark.parametrize("field", ["nu", "Omega", "t_start", "duration"])
 def test_pulse_rejects_non_finite_fields(field, value):
     # Such a pulse used to run: Omega = nan and nu = inf gave a NaN state on
     # both pert routes, duration = inf on all three, and nu = nan a
     # misleading FrameError on the pert routes.
-    fields = dict(nu=1.0, Omega=0.1, phi=0.0, duration=1.0, t_start=0.0)
+    fields = dict(nu=1.0, Omega=0.1, duration=1.0, t_start=0.0)
     fields[field] = value
     with pytest.raises(ValueError, match=f"^pulse {field} must be finite"):
         Pulse(**fields)
 
 
 def test_protocol_rejects_non_contiguous_pulses():
-    pu1 = Pulse(nu=1.0, Omega=0.1, phi=0.0, duration=1.0, t_start=0.0)
-    pu2 = Pulse(nu=1.0, Omega=0.1, phi=0.0, duration=1.0, t_start=1.5)
+    pu1 = Pulse(nu=1.0, Omega=0.1, duration=1.0, t_start=0.0)
+    pu2 = Pulse(nu=1.0, Omega=0.1, duration=1.0, t_start=1.5)
     with pytest.raises(ProtocolError):
         Protocol(pulses=(pu1, pu2), params=P6)
 
@@ -243,8 +242,8 @@ def test_protocol_table_roundtrip_fields():
     assert int(row0[0]) == 0
     assert float(row0[1]) == prot.pulses[0].nu
     assert float(row0[2]) == 0.118
-    assert row0[6] == "000000"
-    assert row0[7] == "0"
+    assert row0[5] == "000000"
+    assert row0[6] == "0"
     row3 = lines[4].split()
-    assert row3[6] == "111000"  # qubits 0,1,2 excited, qubit 0 leftmost
-    assert row3[7] == "1"
+    assert row3[5] == "111000"  # qubits 0,1,2 excited, qubit 0 leftmost
+    assert row3[6] == "1"
