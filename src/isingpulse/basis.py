@@ -102,9 +102,13 @@ class StateVector:
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex)
-        n = amps.shape[0]
+        if amps.ndim != 1:
+            raise ValueError(f"amplitudes must be a 1-d array, got shape {amps.shape}")
+        n = len(amps)
+        if n < 2:
+            raise ValueError(f"need at least one qubit (2 amplitudes), got {n}")
         L = n.bit_length() - 1
-        if amps.ndim != 1 or (1 << L) != n:
+        if (1 << L) != n:
             raise ValueError(f"amplitude array length {n} is not a power of two")
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "L", L)

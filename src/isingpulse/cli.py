@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -223,6 +224,34 @@ def _sweep_values(args) -> list[float]:
     return vals
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on; all of them where the OS cannot say
+    (``os.sched_getaffinity`` exists only on some platforms, Linux among
+    them)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@contextmanager
+def _one_blas_thread():
+    """Default the BLAS and OpenMP thread counts to 1 for the processes
+    started inside: sweep workers share the CPUs, and a pool of
+    multi-threaded BLAS oversubscribes them.  A value already set wins;
+    the variables set here are removed again on exit."""
+    added = [var for var in _THREAD_VARS if var not in os.environ]
+    os.environ.update(dict.fromkeys(added, "1"))
+    try:
+        yield
+    finally:
+        for var in added:
+            os.environ.pop(var, None)
+
+
 def cmd_sweep(args) -> int:
     if args.param not in ("J", "a", "omega", "L"):
         raise _UsageError(f"cannot sweep parameter {args.param!r}")
@@ -237,13 +266,17 @@ def cmd_sweep(args) -> int:
         "omega0": args.omega0,
     }
     jobs = [(args.param, v, base, args.propagator, args.order) for v in values]
-    # A fork pool starts all its workers at once: never more than the points
-    # or the CPUs this process may run on.
-    workers = min(args.workers, len(jobs), len(os.sched_getaffinity(0)))
+    # Never more workers than points or CPUs this process may run on.
+    workers = min(args.workers, len(jobs), _usable_cpus())
     if workers > 1:
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # Spawned children load numpy afresh, so they read the thread
+        # variables set here; a fork would inherit this process's BLAS.
+        with _one_blas_thread(), ProcessPoolExecutor(
+            max_workers=workers, mp_context=multiprocessing.get_context("spawn")
+        ) as pool:
             rows = list(pool.map(_sweep_point, jobs))
     else:
         rows = [_sweep_point(j) for j in jobs]

@@ -110,6 +110,32 @@ def _transition_key(pulse: Pulse) -> tuple:
 _SAME_NU_RTOL = 1e-12
 
 
+class _SharedByKey:
+    """Values shared by the pulses of one run that have the same key.
+
+    ``keys`` lists the key of every pulse the run will take a value for.
+    Each value is freed once its key's last listed use has taken it; a key
+    that ``keys`` does not list is freed after its one use.
+    """
+
+    def __init__(self, keys):
+        self._uses = Counter(keys)
+        self._held: dict = {}
+
+    def take(self, key, build, *args, fits=None):
+        """The value held for ``key``, or ``build(*args)`` when none is held
+        or ``fits(value)`` is false.  A value built for a misfit serves only
+        this use: the held one stays for the pulses after it."""
+        value = self._held.get(key)
+        if value is None or (fits is not None and not fits(value)):
+            value = build(*args)
+            self._held.setdefault(key, value)
+        self._uses[key] -= 1
+        if self._uses[key] <= 0:
+            del self._held[key], self._uses[key]
+        return value
+
+
 def _dense_step(p: ChainParams, pulses=()):
     """Exact pulse step, with eigensystems shared by transition.
 
@@ -125,18 +151,14 @@ def _dense_step(p: ChainParams, pulses=()):
         raise CapacityError(
             f"L={p.L} exceeds the dense-propagator cap {MAX_QUBITS_DENSE}"
         )
-    uses = Counter(_transition_key(pu) for pu in pulses)
-    cache: dict = {}
+    props = _SharedByKey(_transition_key(pu) for pu in pulses)
 
     def step(amps: np.ndarray, pulse: Pulse) -> np.ndarray:
-        key = _transition_key(pulse)
-        prop = cache.get(key)
-        if prop is None or abs(prop.ham.nu - pulse.nu) > _SAME_NU_RTOL * abs(pulse.nu):
-            prop = PulsePropagator.build(RotFrameHam(p, pulse.nu, pulse.Omega))
-            cache.setdefault(key, prop)
-        uses[key] -= 1
-        if uses[key] <= 0:
-            del cache[key], uses[key]
+        prop = props.take(
+            _transition_key(pulse),
+            lambda: PulsePropagator.build(RotFrameHam(p, pulse.nu, pulse.Omega)),
+            fits=lambda held: abs(held.ham.nu - pulse.nu) <= _SAME_NU_RTOL * abs(pulse.nu),
+        )
         return prop.apply(amps, pulse.duration)
 
     return step

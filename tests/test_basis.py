@@ -97,8 +97,26 @@ def test_ground_state_cap():
 
 
 def test_state_vector_requires_power_of_two():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="length 3 is not a power of two"):
         StateVector(np.ones(3, dtype=complex))
+
+
+@pytest.mark.parametrize("amps, message", [
+    (np.array(1.0), r"1-d array, got shape \(\)"),
+    (np.ones((2, 2)), r"1-d array, got shape \(2, 2\)"),
+    (np.ones((1, 4)), r"1-d array, got shape \(1, 4\)"),
+    (np.ones(0), r"at least one qubit \(2 amplitudes\), got 0"),
+    (np.ones(1), r"at least one qubit \(2 amplitudes\), got 1"),
+], ids=["0-d", "2x2", "row", "empty", "L=0"])
+def test_state_vector_rejects_bad_shapes(amps, message):
+    # Each bad shape gets a ValueError that names it; a single amplitude
+    # would be an L = 0 chain, which ground_state and BasisState refuse.
+    with pytest.raises(ValueError, match=message):
+        StateVector(amps)
+
+
+def test_state_vector_smallest_chain_is_one_qubit():
+    assert StateVector(np.array([1.0, 0.0])).L == 1
 
 
 def test_frame_contract_helpers():

@@ -20,6 +20,7 @@ from isingpulse.cli import (
 )
 
 GOLDEN = Path(__file__).parent / "data" / "cli"
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def run_cli(*argv):
@@ -258,12 +259,17 @@ def test_sweep_parallel_matches_serial(tmp_path):
 
 class _CountingPool:
     """Stand-in for ProcessPoolExecutor that records its size and maps in
-    this process, so no worker ever starts."""
+    this process, so no worker ever starts.  It also records how the
+    workers would start, and the thread variables they would see."""
 
     sizes: list[int] = []
+    starts: list[str] = []
+    threads: list[dict] = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, mp_context):
         self.sizes.append(max_workers)
+        self.starts.append(mp_context.get_start_method())
+        self.threads.append({v: os.environ.get(v) for v in THREAD_VARS})
 
     def __enter__(self):
         return self
@@ -283,8 +289,7 @@ class _CountingPool:
 ], ids=["points", "cpus", "requested", "one-cpu-serial", "one-point-serial"])
 def test_sweep_workers_are_bounded_by_points_and_cpus(
         tmp_path, monkeypatch, values, workers, cpus, size):
-    monkeypatch.setattr(_CountingPool, "sizes", [])
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _CountingPool)
+    _count_pools(monkeypatch)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     args = ("sweep", "--param", "J", "--values", values, "--L", "4")
     serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
@@ -292,6 +297,47 @@ def test_sweep_workers_are_bounded_by_points_and_cpus(
     assert run_cli(*args, "--workers", str(workers), "--out", str(pooled)) == EXIT_OK
     assert _CountingPool.sizes == ([] if size is None else [size])
     assert read(pooled) == read(serial)
+
+
+def _count_pools(monkeypatch):
+    for name in ("sizes", "starts", "threads"):
+        monkeypatch.setattr(_CountingPool, name, [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _CountingPool)
+
+
+@pytest.mark.parametrize("cpus, size", [(4, 2), (1, None), (None, None)])
+def test_sweep_counts_cpus_where_affinity_is_unknown(
+        tmp_path, monkeypatch, cpus, size):
+    # os.sched_getaffinity is missing on macOS and Windows; there the
+    # sweep falls back to os.cpu_count, which may itself return None.
+    _count_pools(monkeypatch)
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    out = tmp_path / "out.csv"
+    args = ("sweep", "--param", "J", "--values", "1,2", "--L", "4")
+    assert run_cli(*args, "--out", str(out)) == EXIT_OK
+    assert run_cli(*args, "--workers", "8", "--out", str(out)) == EXIT_OK
+    assert _CountingPool.sizes == ([] if size is None else [size])
+
+
+def test_sweep_workers_spawn_at_one_blas_thread(tmp_path, monkeypatch):
+    # The workers are spawned, not forked, so they load numpy afresh under
+    # the thread variables the sweep sets: 1 unless the caller set one.
+    _count_pools(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    for var in THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    args = ("sweep", "--param", "J", "--values", "1,2", "--L", "4")
+    assert run_cli(*args, "--workers", "2", "--out", str(tmp_path / "o")) == EXIT_OK
+    assert _CountingPool.starts == ["spawn"]
+    assert _CountingPool.threads == [
+        {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": "1"}
+    ]
+    # Only the pool's children see the defaults.
+    assert {v: os.environ.get(v) for v in THREAD_VARS} == {
+        "OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": None
+    }
 
 
 def test_slope_command(tmp_path):

@@ -1,4 +1,6 @@
 import math
+import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,7 +25,8 @@ from isingpulse import (
     run_protocol_pert,
     two_pi_k_omega,
 )
-from isingpulse.exact import propagate_protocol
+from isingpulse import pert as pert_module
+from isingpulse.exact import _transition_key, propagate_protocol, propagate_pulse
 from isingpulse.hamiltonian import rotating_energy_table
 from isingpulse.pert import (
     ORDER_BLOCK_PT1,
@@ -713,7 +716,7 @@ def test_cayley_step_matches_complex_colamd_reference():
                 for pu, eps, gen in steps:
                     c = rng.normal(size=n) + 1j * rng.normal(size=n)
                     c /= np.linalg.norm(c)
-                    new = _apply_pt1(c, eps, pu.duration, gen)
+                    new = _apply_pt1(c, eps, pu.duration, gen, _cayley_factor)
                     ref = _reference_apply_pt1(c, eps, pu.duration, _as_csc(gen))
                     where = f"L={L} J={J} mirror={mirror}"
                     assert np.max(np.abs(new - ref)) < 1e-12, where
@@ -728,3 +731,126 @@ def test_cayley_factor_fill_stays_low():
     for _, _, gen in _walk_dressings(10, 1.945, mirror=False):
         _, lu = _cayley_factor(gen)
         assert lu.L.nnz + lu.U.nnz < 400_000
+
+
+# ------------------------------------------------------ shared Cayley factors
+
+
+def _unshared_pt1_step(p):
+    """The block+pt1 step with a Cayley factor of its own for every pulse."""
+    tol = 1e-9 * max(p.a, 1.0)
+
+    def step(amps, pulse):
+        part = partition_blocks(pulse, p)
+        eps, c, s, a = _pt1_dressing(part, pulse.Omega, tol)
+        out = _apply_pt1(
+            _rotate(part, c, s, amps), eps, pulse.duration, a, _cayley_factor
+        )
+        return _rotate(part, c, -s, out)
+
+    return step
+
+
+def _watch_factors(monkeypatch):
+    """Wrap ``pert.scipy`` so that every Cayley LU is recorded as it is
+    made, and ``pert.propagate_protocol`` so that the factors still alive
+    are recorded after each pulse.  Returns (made, live): weak references
+    to the factors in build order, and per pulse the indices of the live
+    ones."""
+    splu = scipy.sparse.linalg.splu
+    made, live = [], []
+
+    class Factor:
+        def __init__(self, lu):
+            self.solve = lu.solve
+
+    def recording_splu(*args, **kwargs):
+        factor = Factor(splu(*args, **kwargs))
+        made.append(weakref.ref(factor))
+        return factor
+
+    def recording_protocol(psi0, prot, step):
+        psi = psi0
+        for pu in prot.pulses:
+            psi = propagate_pulse(psi, pu, prot.params, step)
+            live.append([i for i, ref in enumerate(made) if ref() is not None])
+        return psi
+
+    monkeypatch.setattr(pert_module, "scipy", SimpleNamespace(sparse=SimpleNamespace(
+        csc_matrix=scipy.sparse.csc_matrix,
+        linalg=SimpleNamespace(splu=recording_splu),
+    )))
+    monkeypatch.setattr(pert_module, "propagate_protocol", recording_protocol)
+    return made, live
+
+
+def _walk_repeats(prot):
+    """Of the walk's repeated transitions, how many repeat the first
+    pulse's nu bit for bit and how many differ from it by rounding."""
+    first, equal, rounded = {}, 0, 0
+    for pu in prot.pulses:
+        key = _transition_key(pu)
+        if key in first:
+            equal += first[key] == pu.nu
+            rounded += first[key] != pu.nu
+        else:
+            first[key] = pu.nu
+    return equal, rounded
+
+
+def test_shared_factors_leave_the_walk_bit_identical():
+    # At L = 10, J = 1.945 some repeated pulses share their factor and some
+    # differ in nu by rounding and get their own; the state must be the
+    # one that a factor per pulse gives, to the last bit.
+    p = ChainParams(L=10, omega0=0.0, a=100.0, J=1.945)
+    prot = build_entanglement_protocol(p, 0.118)
+    equal, rounded = _walk_repeats(prot)
+    assert equal > 0 and rounded > 0
+    shared = run_protocol_pert(ground_state(10), prot, ORDER_BLOCK_PT1)
+    alone = propagate_protocol(ground_state(10), prot, _unshared_pt1_step(p))
+    assert np.array_equal(shared.amplitudes, alone.amplitudes)
+
+
+@pytest.mark.parametrize("L, J, mirror", [
+    (10, 1.945, False), (8, 19.0, False), (6, 100.0 / 3, False), (7, 1.945, True),
+])
+def test_walk_factors_one_per_distinct_pulse(L, J, mirror, monkeypatch):
+    p = ChainParams(L=L, omega0=100.0 if mirror else 0.0, a=100.0, J=J)
+    prot = build_entanglement_protocol(p, 0.118, mirror=mirror)
+    made, _ = _watch_factors(monkeypatch)
+    run_protocol_pert(ground_state(L), prot, ORDER_BLOCK_PT1)
+    assert len(made) == len({(pu.nu, pu.Omega) for pu in prot.pulses})
+
+
+def test_walk_factors_are_freed_after_their_last_pulse(monkeypatch):
+    p = ChainParams(L=10, omega0=0.0, a=100.0, J=1.945)
+    prot = build_entanglement_protocol(p, 0.118)
+    made, live = _watch_factors(monkeypatch)
+    run_protocol_pert(ground_state(10), prot, ORDER_BLOCK_PT1)
+    keys = [(pu.nu, pu.Omega) for pu in prot.pulses]
+    last = {key: t for t, key in enumerate(keys)}
+    # Factor i belongs to the first pulse with a key not seen before it.
+    owners = [t for t, key in enumerate(keys) if key not in keys[:t]]
+    assert len(owners) == len(made) < len(keys)
+    for t in range(len(keys)):
+        want = [i for i, t0 in enumerate(owners) if t0 <= t < last[keys[t0]]]
+        assert live[t] == want, t
+        # Besides the next pulse's own, at most one factor waits through it.
+        if t + 1 < len(keys):
+            waiting = [i for i in live[t] if keys[owners[i]] != keys[t + 1]]
+            assert len(waiting) <= 1, t
+
+
+def test_repeated_hand_built_pulse_shares_one_factor(monkeypatch):
+    p = ChainParams(L=4, omega0=0.0, a=100.0, J=1.945)
+    nu = resonance_frequency(BasisState(0, 4), 0, p)
+    pulses = tuple(
+        Pulse(nu=nu, Omega=0.118, duration=5.0, t_start=5.0 * i) for i in range(3)
+    )
+    prot = Protocol(pulses=pulses, params=p, kind="custom")
+    alone = propagate_protocol(ground_state(4), prot, _unshared_pt1_step(p))
+    made, live = _watch_factors(monkeypatch)
+    shared = run_protocol_pert(ground_state(4), prot, ORDER_BLOCK_PT1)
+    assert len(made) == 1
+    assert live == [[0], [0], []]
+    assert np.array_equal(shared.amplitudes, alone.amplitudes)
