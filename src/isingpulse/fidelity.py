@@ -20,7 +20,13 @@ from .basis import StateVector, check_state_capacity, ground_state
 from .errors import FrameError, NumericalError, ProtocolError
 # Unused frame transforms stay imported: bench/tracing.py patches them here.
 from .exact import from_rotating, propagate_protocol, run_protocol, to_rotating  # noqa: F401
-from .pert import ORDER_BLOCK, _block_u, partition_blocks, run_protocol_pert
+from .pert import (
+    ORDER_BLOCK,
+    _block_u,
+    _live_blocks,
+    partition_blocks,
+    run_protocol_pert,
+)
 from .protocol import (
     ENTANGLE_KIND,
     Protocol,
@@ -67,16 +73,14 @@ def build_ideal_state(prot: Protocol) -> StateVector:
         part = partition_blocks(pulse, p)
         out = amps.copy()
         tau = pulse.duration
-        live = amps != 0
         # Every live block contributes phases only, magnitudes kept.
-        in_live = live[part.m_idx] | live[part.p_idx]
-        m, q = part.m_idx[in_live], part.p_idx[in_live]
+        pairs, s = _live_blocks(part, amps)
+        m, q = part.m_idx[pairs], part.p_idx[pairs]
         u11, _, _, u22 = _block_u(
-            pulse.Omega, part.delta[in_live], tau, part.e_rot[m], part.e_rot[q]
+            pulse.Omega, part.delta[pairs], tau, part.e_rot[m], part.e_rot[q]
         )
         out[m] = amps[m] * (u11 / np.abs(u11))
         out[q] = amps[q] * (u22 / np.abs(u22))
-        s = part.singletons[live[part.singletons]]
         out[s] = amps[s] * np.exp(-1j * part.e_rot[s] * tau)
         # The intended transition acts in full (resonant by construction).
         d = part.e_rot[pp] - part.e_rot[mm]
@@ -184,8 +188,9 @@ def protocol_fidelity(
     psi_i = build_ideal_state(prot)
     f_exact = None if psi_r is None else dynamical_fidelity(psi_i, psi_r)
     f_pert = None if psi_p is None else dynamical_fidelity(psi_i, psi_p)
-    if f_exact is not None and not -1e-12 <= f_exact <= 1.0 + 1e-12:
-        raise NumericalError(f"fidelity {f_exact} outside [0, 1]")
+    for f in (f_exact, f_pert):
+        if f is not None and not -1e-12 <= f <= 1.0 + 1e-12:
+            raise NumericalError(f"fidelity {f} outside [0, 1]")
     return FidelityReport(
         params=p,
         Omega=Omega,

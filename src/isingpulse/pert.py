@@ -15,6 +15,21 @@ keep their diagonal energy.  The block step is W e^{-i eps0 tau} W^T; the
 pulse loop, with its clock check, frame transforms and norm guard, is the
 exact propagator's.
 
+The block step evaluates that form only on the pairs and singletons that
+hold a nonzero amplitude (:func:`_live_blocks`, the ideal state's rule as
+well); every other entry stays the zero that the dense form also gives.
+In the selective regime the state reaches new basis states only as the
+walk reaches new qubits: at L = 8, J = 1.945 it holds 2, 4, 8, 8, 16,
+16, ... 256 nonzero amplitudes after successive pulses, so the early
+pulses of a walk touch a small share of the basis.  Each live entry is
+computed in the dense form's expression order, so final states equal the
+dense step's bit for bit, bar the sign of zeros.  Against the dense step
+a block run over L = 13..15 takes 0.14 s instead of 0.28 s, of which the
+step itself 0.04 s instead of 0.20 s, and one at L = 20 takes 4.9 s
+instead of 11 s with a peak of 177 MB resident instead of 192 MB (2-core
+host, one BLAS thread; the README has the details).  The pt1 dressing
+needs every pair, so block+pt1 still rotates the whole basis.
+
 The same evolution as closed-form two-level amplitudes,
 
     c_m(tau) = c_m(0) [cos(lt/2) + i (D/l) sin(lt/2)] e^{-i D tau/2 - i E_m tau}
@@ -209,10 +224,11 @@ def _reach(p: ChainParams, nu: float) -> list[int]:
     where omega0 dwarfs a.
     """
     L = p.L
-    scale = sum(abs(p.omega(k)) for k in range(L)) + L * (p.J + abs(nu))
+    omegas = [p.omega(k) for k in range(L)]
+    scale = sum(abs(w) for w in omegas) + L * (p.J + abs(nu))
     slack = 4 * (L + 1) * np.finfo(float).eps * scale
     reach = default_threshold(p) + 2.0 * p.J + slack
-    return [k for k in range(L) if abs(p.omega(k) - nu) <= reach]
+    return [k for k, w in enumerate(omegas) if abs(w - nu) <= reach]
 
 
 def _flip_candidates(e_rot, k, threshold):
@@ -310,21 +326,70 @@ def _block_rotation(part: BlockPartition, Omega: float):
     """
     m, p = part.m_idx, part.p_idx
     eps0 = part.e_rot.copy()
-    lam = np.hypot(Omega, part.delta)
-    mean = 0.5 * (part.e_rot[m] + part.e_rot[p])
-    eps0[m] = mean - 0.5 * lam
-    eps0[p] = mean + 0.5 * lam
-    half = 0.5 * np.arctan2(Omega, part.delta)
-    return eps0, np.cos(half), np.sin(half)
+    eps0[m], eps0[p], c, s = _pair_eigen(
+        Omega, part.delta, part.e_rot[m], part.e_rot[p]
+    )
+    return eps0, c, s
+
+
+def _pair_eigen(Omega, delta, e_m, e_p):
+    """Eigenvalues and rotation of 2x2 blocks with diagonal (e_m, e_p),
+    e_p - e_m = delta, coupled by the drive Omega: (eps_m, eps_p, c, s),
+    elementwise, with eps_m below eps_p as :func:`_block_rotation` slots
+    them."""
+    lam = np.hypot(Omega, delta)
+    mean = 0.5 * (e_m + e_p)
+    half = 0.5 * np.arctan2(Omega, delta)
+    return mean - 0.5 * lam, mean + 0.5 * lam, np.cos(half), np.sin(half)
+
+
+def _turn(c, s, xm, xp):
+    """The rotation [[c, s], [-s, c]] on gathered pair amplitudes."""
+    return c * xm + s * xp, c * xp - s * xm
 
 
 def _rotate(part: BlockPartition, c, s, x):
     """W^T x: the rotation [[c, s], [-s, c]] on each pair's (x_m, x_p),
     singletons unchanged.  Passing -s gives W x."""
     out = x.copy()
-    xm, xp = x[part.m_idx], x[part.p_idx]
-    out[part.m_idx] = c * xm + s * xp
-    out[part.p_idx] = c * xp - s * xm
+    m, p = part.m_idx, part.p_idx
+    out[m], out[p] = _turn(c, s, x[m], x[p])
+    return out
+
+
+def _live_blocks(part: BlockPartition, amps: np.ndarray):
+    """The pairs and singletons of ``part`` that hold a nonzero entry of
+    ``amps``: an index into the pair arrays (a slice when every pair is
+    live, so that no index array is copied) and the live singleton states.
+    A block outside them maps zero amplitudes to zero."""
+    live = amps != 0
+    pairs = live[part.m_idx] | live[part.p_idx]
+    pairs = slice(None) if pairs.all() else np.flatnonzero(pairs)
+    return pairs, part.singletons[live[part.singletons]]
+
+
+def _block_step(part: BlockPartition, Omega: float, tau: float, amps):
+    """W e^{-i eps0 tau} W^T on the live blocks of ``amps``.
+
+    Each live pair and singleton takes the arithmetic of the dense form
+    ``_rotate(part, c, -s, exp(-i eps0 tau) _rotate(part, c, s, amps))``
+    in the same order, so its entries match that form bit for bit; every
+    other entry is the zero that the dense form also gives, bar its sign.
+    """
+    pairs, single = _live_blocks(part, amps)
+    m, p = part.m_idx[pairs], part.p_idx[pairs]
+    eps_m, eps_p, c, s = _pair_eigen(
+        Omega, part.delta[pairs], part.e_rot[m], part.e_rot[p]
+    )
+    ym, yp = _turn(c, s, amps[m], amps[p])
+    ym = np.exp(-1j * eps_m * tau) * ym
+    yp = np.exp(-1j * eps_p * tau) * yp
+    # Every temporary of a pulse is 2^(L-1) entries long when all pairs
+    # are live: free these before the output is allocated.
+    del eps_m, eps_p
+    out = np.zeros_like(amps)
+    out[m], out[p] = _turn(c, -s, ym, yp)
+    out[single] = np.exp(-1j * part.e_rot[single] * tau) * amps[single]
     return out
 
 
@@ -475,13 +540,11 @@ def run_protocol_pert(
     def step(amps: np.ndarray, pulse: Pulse) -> np.ndarray:
         part = partition_blocks(pulse, p)
         tau = pulse.duration
-        if order == ORDER_BLOCK_PT1:
-            eps, c, s, a = _pt1_dressing(part, pulse.Omega, degeneracy_tol)
-            factor = partial(factors.take, (pulse.nu, pulse.Omega), _cayley_factor)
-            out = _apply_pt1(_rotate(part, c, s, amps), eps, tau, a, factor)
-        else:
-            eps0, c, s = _block_rotation(part, pulse.Omega)
-            out = np.exp(-1j * eps0 * tau) * _rotate(part, c, s, amps)
+        if order == ORDER_BLOCK:
+            return _block_step(part, pulse.Omega, tau, amps)
+        eps, c, s, a = _pt1_dressing(part, pulse.Omega, degeneracy_tol)
+        factor = partial(factors.take, (pulse.nu, pulse.Omega), _cayley_factor)
+        out = _apply_pt1(_rotate(part, c, s, amps), eps, tau, a, factor)
         return _rotate(part, c, -s, out)
 
     return propagate_protocol(psi0, prot, step)

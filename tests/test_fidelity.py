@@ -7,6 +7,7 @@ from isingpulse import (
     CapacityError,
     ChainParams,
     FrameError,
+    NumericalError,
     ProtocolError,
     StateVector,
     build_entanglement_protocol,
@@ -335,3 +336,17 @@ def test_capacity_errors_come_before_costly_work(monkeypatch, stage, L, propagat
     monkeypatch.setattr(fidelity, stage, _never_called)
     with pytest.raises(CapacityError):
         protocol_fidelity(ChainParams(L=L, a=100.0, J=1.0), 0.118, propagator)
+
+
+def test_pert_fidelity_outside_unit_interval_is_rejected(monkeypatch):
+    # The same guard as on f_exact: a pert state whose norm grew reads a
+    # fidelity above 1, and that is an error, not a printed number.
+    run_pert = fidelity.run_protocol_pert
+
+    def scaled(psi0, prot, order):
+        psi = run_pert(psi0, prot, order)
+        return StateVector(1.1 * psi.amplitudes, time=psi.time, rot_nu=psi.rot_nu)
+
+    monkeypatch.setattr(fidelity, "run_protocol_pert", scaled)
+    with pytest.raises(NumericalError, match="outside"):
+        protocol_fidelity(P6, 0.118, "pert")

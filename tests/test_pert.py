@@ -229,6 +229,37 @@ def test_partition_reach_covers_table_rounding(omega0):
         _assert_matches_reference(pu, p)
 
 
+def _reach_by_formula(p, nu):
+    """The reach bound of pert._reach with each site frequency evaluated
+    where it is used."""
+    L = p.L
+    scale = sum(abs(p.omega(k)) for k in range(L)) + L * (p.J + abs(nu))
+    slack = 4 * (L + 1) * np.finfo(float).eps * scale
+    reach = default_threshold(p) + 2.0 * p.J + slack
+    return [k for k in range(L) if abs(p.omega(k) - nu) <= reach]
+
+
+def test_reach_equals_formula_and_reads_each_site_once(monkeypatch):
+    cases = []
+    for omega0 in (0.0, 100.0, 1e12, 1e16):
+        for J in (0.3, 1.945, 100.0 / 3):
+            p = ChainParams(L=7, omega0=omega0, a=100.0, J=J)
+            pulses = build_entanglement_protocol(p, 0.118).pulses + tuple(_reach_pulses(p))
+            cases += [(p, pu.nu, _reach_by_formula(p, pu.nu)) for pu in pulses]
+    calls = []
+    omega = ChainParams.omega
+
+    def counted(self, k):
+        calls.append(k)
+        return omega(self, k)
+
+    monkeypatch.setattr(ChainParams, "omega", counted)
+    for p, nu, want in cases:
+        calls.clear()
+        assert pert_module._reach(p, nu) == want, (p, nu)
+        assert calls == list(range(p.L))
+
+
 def test_partition_blocks_object_view():
     prot = build_entanglement_protocol(P6, 0.118)
     part = partition_blocks(prot.pulses[0], P6)
@@ -482,6 +513,72 @@ def test_block_route_matches_closed_form_block_step(L):
             assert np.max(np.abs(got.amplitudes - want.amplitudes)) <= 1e-10, where
             assert abs(dynamical_fidelity(ideal, got)
                        - dynamical_fidelity(ideal, want)) <= 1e-11, where
+
+
+def _dense_block_run(psi0, prot):
+    """The block route with the dense step W e^{-i eps0 tau} W^T over every
+    pair and singleton, whether or not it holds amplitude."""
+    p = prot.params
+
+    def step(amps, pulse):
+        part = partition_blocks(pulse, p)
+        eps0, c, s = _block_rotation(part, pulse.Omega)
+        out = np.exp(-1j * eps0 * pulse.duration) * _rotate(part, c, s, amps)
+        return _rotate(part, c, -s, out)
+
+    return propagate_protocol(psi0, prot, step)
+
+
+@pytest.mark.parametrize("L", range(3, 10))
+def test_block_route_equals_dense_block_step(L):
+    # The route steps only the blocks that hold amplitude, in the dense
+    # step's expression order, and leaves the zeros that the dense step
+    # also gives.  ORACLE_J takes both walks through the collisions, where
+    # pairs conflict and singletons hold amplitude.
+    for mirror in (False, True):
+        for J in ORACLE_J:
+            p = ChainParams(L=L, omega0=100.0 if mirror else 0.0, a=100.0, J=J)
+            prot = build_entanglement_protocol(p, 0.118, mirror=mirror)
+            got = run_protocol_pert(ground_state(L), prot, "block")
+            want = _dense_block_run(ground_state(L), prot)
+            assert np.array_equal(got.amplitudes, want.amplitudes), (L, J, mirror)
+
+
+def test_block_route_equals_dense_step_on_singletons_and_full_support():
+    # A pulse far from every site frequency pairs nothing, so every state
+    # is a singleton; a resonant one on a state with no zero entry makes
+    # every pair live.
+    p = ChainParams(L=6, omega0=0.0, a=100.0, J=1.945)
+    far = p.omega(p.L - 1) + 10.0 * p.a
+    prot = Protocol(
+        [Pulse(nu=far, Omega=0.118, duration=3.0, t_start=0.0),
+         Pulse(nu=p.omega(0), Omega=0.118, duration=2.0, t_start=3.0)],
+        p,
+    )
+    assert len(partition_blocks(prot.pulses[0], p).m_idx) == 0
+    rng = np.random.default_rng(5)
+    amps = rng.normal(size=1 << p.L) + 1j * rng.normal(size=1 << p.L)
+    psi0 = StateVector(amps / np.linalg.norm(amps))
+    got = run_protocol_pert(psi0, prot, "block")
+    want = _dense_block_run(psi0, prot)
+    assert np.array_equal(got.amplitudes, want.amplitudes)
+
+
+@pytest.mark.parametrize("J, counts", [
+    (1.945, (2, 4, 8, 8, 16, 16, 32, 32, 64, 64, 128, 128, 256, 256)),
+    (33.4, (2, 3, 4, 5, 7, 8, 11, 12, 16, 17, 22, 23, 29, 30)),
+])
+def test_block_state_support_grows_with_the_walk(J, counts):
+    # What stepping only the live blocks saves: the block state gains basis
+    # states only as the walk reaches new qubits.
+    p = ChainParams(L=8, omega0=0.0, a=100.0, J=J)
+    prot = build_entanglement_protocol(p, 0.118)
+    got = tuple(
+        int(np.count_nonzero(run_protocol_pert(
+            ground_state(p.L), Protocol(prot.pulses[:k], p), "block").amplitudes))
+        for k in range(1, len(prot.pulses) + 1)
+    )
+    assert got == counts
 
 
 def test_nonresonant_leakage_bound():
