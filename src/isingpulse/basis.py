@@ -23,6 +23,16 @@ MAX_QUBITS_STATE = 20
 
 NORM_TOL = 1e-10
 
+# Relative tolerance of every clock comparison: pulse starts, a state's
+# clock against a pulse, and the two states a fidelity compares.
+CLOCK_TOL = 1e-9
+
+
+def clocks_differ(t: float, ref: float) -> bool:
+    """Whether time ``t`` is off the reference clock ``ref`` by more than
+    CLOCK_TOL * (1 + |ref|).  A NaN time compares False, so it passes."""
+    return abs(t - ref) > CLOCK_TOL * (1.0 + abs(ref))
+
 
 @dataclass(frozen=True)
 class BasisState:

@@ -108,8 +108,9 @@ def _chain(args) -> ChainParams:
     return ChainParams(L=args.L, omega0=args.omega0, a=args.a, J=args.J)
 
 
-def _add_model_args(p: argparse.ArgumentParser):
-    p.add_argument("--L", type=int, default=6, help="number of qubits")
+def _add_model_args(p: argparse.ArgumentParser, chain_length: bool = True):
+    if chain_length:
+        p.add_argument("--L", type=int, default=6, help="number of qubits")
     p.add_argument("--J", type=float, default=1.0, help="Ising coupling")
     p.add_argument("--a", type=float, default=100.0, help="per-site frequency step")
     p.add_argument("--omega", type=float, default=0.118, help="Rabi frequency")
@@ -186,9 +187,7 @@ def _sweep_point(job) -> str:
     J, omega = kw["J"], kw["omega"]
     flags = []
     try:
-        if not float(kw["L"]).is_integer():
-            raise ValueError(f"chain length L must be an integer, got {kw['L']}")
-        params = ChainParams(L=int(kw["L"]), omega0=kw["omega0"], a=kw["a"], J=J)
+        params = ChainParams(L=kw["L"], omega0=kw["omega0"], a=kw["a"], J=J)
         if validate_selective(params, omega).fake_hits:
             flags.append("fake-window")
         rep = protocol_fidelity(params, omega, propagator=propagator, order=order)
@@ -400,7 +399,8 @@ def make_parser() -> _Parser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_slope = sub.add_parser("slope", help="fit fidelity vs chain length")
-    _add_model_args(p_slope)
+    # slope sweeps L over --from..--to, so it takes no --L.
+    _add_model_args(p_slope, chain_length=False)
     p_slope.add_argument("--from", dest="lo", type=int, default=4,
                          help="smallest chain length")
     p_slope.add_argument("--to", dest="hi", type=int, default=10,

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 
-from .basis import NORM_TOL, StateVector, excitation_count, spin_z_levels
+from .basis import NORM_TOL, StateVector, clocks_differ, excitation_count, spin_z_levels
 from .errors import CapacityError, FrameError, NumericalError
 from .hamiltonian import ChainParams, RotFrameHam
 from .protocol import Protocol, Pulse
@@ -179,7 +179,7 @@ def propagate_pulse(
         step = _dense_step(p)
     if psi.L != p.L:
         raise FrameError(f"state has {psi.L} qubits, the chain has {p.L}")
-    if abs(psi.time - pulse.t_start) > 1e-9 * (1.0 + abs(pulse.t_start)):
+    if clocks_differ(psi.time, pulse.t_start):
         raise FrameError(
             f"state clock {psi.time} does not match pulse start {pulse.t_start}"
         )

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import StateVector, check_state_capacity, ground_state
+from .basis import StateVector, check_state_capacity, clocks_differ, ground_state
 from .errors import FrameError, NumericalError, ProtocolError
 # Unused frame transforms stay imported: bench/tracing.py patches them here.
 from .exact import from_rotating, propagate_protocol, run_protocol, to_rotating  # noqa: F401
@@ -36,8 +36,6 @@ from .protocol import (
 )
 from .hamiltonian import ChainParams
 
-TIME_TOL = 1e-9
-
 
 def dynamical_fidelity(psi_i: StateVector, psi_r: StateVector) -> float:
     """Squared overlap |<i|r>|^2 of two states in the same frame and time."""
@@ -45,7 +43,7 @@ def dynamical_fidelity(psi_i: StateVector, psi_r: StateVector) -> float:
         raise FrameError(f"qubit counts differ: {psi_i.L} vs {psi_r.L}")
     if psi_i.rot_nu != psi_r.rot_nu:
         raise FrameError(f"frames differ: {psi_i.rot_nu} vs {psi_r.rot_nu}")
-    if abs(psi_i.time - psi_r.time) > TIME_TOL * (1.0 + abs(psi_r.time)):
+    if clocks_differ(psi_i.time, psi_r.time):
         raise FrameError(f"times differ: {psi_i.time} vs {psi_r.time}")
     return float(abs(np.vdot(psi_i.amplitudes, psi_r.amplitudes)) ** 2)
 
@@ -74,11 +72,9 @@ def build_ideal_state(prot: Protocol) -> StateVector:
         out = amps.copy()
         tau = pulse.duration
         # Every live block contributes phases only, magnitudes kept.
-        pairs, s = _live_blocks(part, amps)
-        m, q = part.m_idx[pairs], part.p_idx[pairs]
-        u11, _, _, u22 = _block_u(
-            pulse.Omega, part.delta[pairs], tau, part.e_rot[m], part.e_rot[q]
-        )
+        m, q, s = _live_blocks(part, amps)
+        e_m, e_q = part.e_rot[m], part.e_rot[q]
+        u11, _, _, u22 = _block_u(pulse.Omega, e_q - e_m, tau, e_m, e_q)
         out[m] = amps[m] * (u11 / np.abs(u11))
         out[q] = amps[q] * (u22 / np.abs(u22))
         out[s] = amps[s] * np.exp(-1j * part.e_rot[s] * tau)

@@ -37,6 +37,11 @@ class ChainParams:
     J: float = 0.0
 
     def __post_init__(self):
+        # The one check of the chain length: an integral number, kept as int.
+        integral = isinstance(self.L, float) and self.L.is_integer()
+        if not (integral or isinstance(self.L, (int, np.integer))):
+            raise ValueError(f"chain length L must be an integer, got {self.L!r}")
+        object.__setattr__(self, "L", int(self.L))
         for name in ("omega0", "a", "J"):
             value = getattr(self, name)
             if not math.isfinite(value):

@@ -7,13 +7,16 @@ omega_k - nu give or take 2J from its neighbours, so only the qubits with
 |omega_k - nu| <= a/2 + 2J are scanned, one on a walk pulse while 8J < a;
 the partition then costs O(2^L) and needs no sort.  Pairs come in ascending
 index of their lower state; |detuning| order is used only inside the
-greedy matching that resolves states with two candidates.  Every consumer
-gathers and scatters the pairs by index, so their order changes no
-result.  Each pair's 2x2 block is diagonalised in closed form by a (c, s)
-rotation W, applied by gathering the pair's two amplitudes; singletons
-keep their diagonal energy.  The block step is W e^{-i eps0 tau} W^T; the
-pulse loop, with its clock check, frame transforms and norm guard, is the
-exact propagator's.
+greedy matching that resolves states with two candidates.  A pair is two
+indices into the partition's rotating energy table ``e_rot``, the one
+source of every pair energy: a pair's detuning is the difference of its
+two entries, formed where it is used.  Every consumer gathers and scatters
+the pairs by index, so their order changes no result.  Each pair's 2x2
+block is diagonalised in closed form by a (c, s) rotation W, applied by
+gathering the pair's two amplitudes; singletons keep their diagonal
+energy.  The block step is W e^{-i eps0 tau} W^T; the pulse loop, with
+its clock check, frame transforms and norm guard, is the exact
+propagator's.
 
 The block step evaluates that form only on the pairs and singletons that
 hold a nonzero amplitude (:func:`_live_blocks`, the ideal state's rule as
@@ -23,12 +26,8 @@ walk reaches new qubits: at L = 8, J = 1.945 it holds 2, 4, 8, 8, 16,
 16, ... 256 nonzero amplitudes after successive pulses, so the early
 pulses of a walk touch a small share of the basis.  Each live entry is
 computed in the dense form's expression order, so final states equal the
-dense step's bit for bit, bar the sign of zeros.  Against the dense step
-a block run over L = 13..15 takes 0.14 s instead of 0.28 s, of which the
-step itself 0.04 s instead of 0.20 s, and one at L = 20 takes 4.9 s
-instead of 11 s with a peak of 177 MB resident instead of 192 MB (2-core
-host, one BLAS thread; the README has the details).  The pt1 dressing
-needs every pair, so block+pt1 still rotates the whole basis.
+dense step's bit for bit, bar the sign of zeros.  The pt1 dressing needs
+every pair, so block+pt1 still rotates the whole basis.
 
 The same evolution as closed-form two-level amplitudes,
 
@@ -157,21 +156,26 @@ def _block_u(Omega, Delta, tau, e_m, e_p):
 class BlockPartition:
     """Partition of the basis into two-level pairs and singletons.
 
-    Array view: ``m_idx``/``p_idx``/``delta`` describe the pairs, in
-    strictly ascending ``m_idx`` (the state with the flipped bit clear),
-    ``singletons`` the leftover states in ascending order.  ``n_conflicts``
-    counts states whose closest in-threshold partner ended up paired
-    elsewhere (resolved by the greedy matching, the one place where pairs
-    are ordered by |delta|).
+    Array view: a pair is two indices into ``e_rot``, the rotating-frame
+    energies of all 2^L states: ``m_idx`` (the state with the flipped bit
+    clear) in strictly ascending order and ``p_idx``.  ``singletons`` lists
+    the leftover states in ascending order.  ``n_conflicts`` counts states
+    whose closest in-threshold partner ended up paired elsewhere (resolved
+    by the greedy matching, the one place where pairs are ordered by
+    |delta|).  ``delta`` is derived from ``e_rot`` on each read.
     """
 
     L: int
     m_idx: np.ndarray
     p_idx: np.ndarray
-    delta: np.ndarray
     singletons: np.ndarray
     e_rot: np.ndarray
     n_conflicts: int
+
+    @property
+    def delta(self) -> np.ndarray:
+        """Rotating-frame detuning of each pair, e_rot[p] - e_rot[m]."""
+        return self.e_rot[self.p_idx] - self.e_rot[self.m_idx]
 
 
 def _greedy_matching(order, cand_m, cand_p):
@@ -187,11 +191,11 @@ def _greedy_matching(order, cand_m, cand_p):
     return np.array(sel, dtype=int)
 
 
-def _greedy_partition(cand_m, cand_p, cand_d, n, threshold):
+def _greedy_partition(cand_m, cand_p, e_rot, n, threshold):
     """Greedy matching of candidates that are not a matching, scanned in
     order of increasing |Delta|, and its conflict count.  Returns the
-    selected (m, p, delta) in scan order and ``n_conflicts``."""
-    cand_abs = np.abs(cand_d)
+    selected (m, p) in scan order and ``n_conflicts``."""
+    cand_abs = np.abs(e_rot[cand_p] - e_rot[cand_m])
     # Ascending |Delta|, ties broken by state indices for determinism.
     order = _greedy_matching(
         np.lexsort((cand_p, cand_m, cand_abs)), cand_m, cand_p
@@ -209,7 +213,7 @@ def _greedy_partition(cand_m, cand_p, cand_d, n, threshold):
     happy[m_idx] = abs_delta == best_abs[m_idx]
     happy[p_idx] = abs_delta == best_abs[p_idx]
     n_conflicts = int(np.count_nonzero(in_thr & ~happy))
-    return m_idx, p_idx, cand_d[order], n_conflicts
+    return m_idx, p_idx, n_conflicts
 
 
 def _reach(p: ChainParams, nu: float) -> list[int]:
@@ -232,8 +236,8 @@ def _reach(p: ChainParams, nu: float) -> list[int]:
 
 
 def _flip_candidates(e_rot, k, threshold):
-    """The in-threshold flips of qubit k as (m, p, delta) in ascending m,
-    where m has bit k clear and p = m ^ 2^k."""
+    """The in-threshold flips of qubit k as (m, p) in ascending m, where m
+    has bit k clear and p = m ^ 2^k."""
     bit = 1 << k
     # Axis 1 of this view is bit k: [:, 0] holds the states with it clear,
     # in ascending order, and [:, 1] their flip partners.
@@ -244,7 +248,7 @@ def _flip_candidates(e_rot, k, threshold):
     clear = np.zeros(shape, dtype=bool)
     clear[:, 0] = keep
     lo = np.flatnonzero(clear)
-    return lo, lo ^ bit, d_lo[keep]
+    return lo, lo ^ bit
 
 
 def partition_blocks(pulse: Pulse, p: ChainParams) -> BlockPartition:
@@ -276,18 +280,17 @@ def partition_blocks(pulse: Pulse, p: ChainParams) -> BlockPartition:
     n_conflicts = 0
     if not cands:
         m_idx = p_idx = np.empty(0, dtype=np.intp)
-        delta = np.empty(0)
     elif len(cands) == 1:
-        m_idx, p_idx, delta = cands[0]
+        m_idx, p_idx = cands[0]
     else:
-        m_idx, p_idx, delta = (np.concatenate(c) for c in zip(*cands))
+        m_idx, p_idx = (np.concatenate(c) for c in zip(*cands))
         if np.bincount(np.concatenate([m_idx, p_idx]), minlength=n).max() > 1:
-            m_idx, p_idx, delta, n_conflicts = _greedy_partition(
-                m_idx, p_idx, delta, n, threshold
+            m_idx, p_idx, n_conflicts = _greedy_partition(
+                m_idx, p_idx, e_rot, n, threshold
             )
         # A matching holds each m once, so this order is unique.
         order = np.argsort(m_idx)
-        m_idx, p_idx, delta = m_idx[order], p_idx[order], delta[order]
+        m_idx, p_idx = m_idx[order], p_idx[order]
 
     taken = np.zeros(n, dtype=bool)
     taken[m_idx] = taken[p_idx] = True
@@ -295,7 +298,6 @@ def partition_blocks(pulse: Pulse, p: ChainParams) -> BlockPartition:
         L=L,
         m_idx=m_idx,
         p_idx=p_idx,
-        delta=delta,
         singletons=np.flatnonzero(~taken),
         e_rot=e_rot,
         n_conflicts=n_conflicts,
@@ -326,17 +328,16 @@ def _block_rotation(part: BlockPartition, Omega: float):
     """
     m, p = part.m_idx, part.p_idx
     eps0 = part.e_rot.copy()
-    eps0[m], eps0[p], c, s = _pair_eigen(
-        Omega, part.delta, part.e_rot[m], part.e_rot[p]
-    )
+    eps0[m], eps0[p], c, s = _pair_eigen(Omega, part.e_rot[m], part.e_rot[p])
     return eps0, c, s
 
 
-def _pair_eigen(Omega, delta, e_m, e_p):
+def _pair_eigen(Omega, e_m, e_p):
     """Eigenvalues and rotation of 2x2 blocks with diagonal (e_m, e_p),
-    e_p - e_m = delta, coupled by the drive Omega: (eps_m, eps_p, c, s),
-    elementwise, with eps_m below eps_p as :func:`_block_rotation` slots
-    them."""
+    detuned by delta = e_p - e_m and coupled by the drive Omega:
+    (eps_m, eps_p, c, s), elementwise, with eps_m below eps_p as
+    :func:`_block_rotation` slots them."""
+    delta = e_p - e_m
     lam = np.hypot(Omega, delta)
     mean = 0.5 * (e_m + e_p)
     half = 0.5 * np.arctan2(Omega, delta)
@@ -359,13 +360,14 @@ def _rotate(part: BlockPartition, c, s, x):
 
 def _live_blocks(part: BlockPartition, amps: np.ndarray):
     """The pairs and singletons of ``part`` that hold a nonzero entry of
-    ``amps``: an index into the pair arrays (a slice when every pair is
-    live, so that no index array is copied) and the live singleton states.
-    A block outside them maps zero amplitudes to zero."""
+    ``amps``: the live pairs' ``m`` and ``p`` states (views of the
+    partition's arrays when every pair is live, so that nothing is copied)
+    and the live singleton states.  A block outside them maps zero
+    amplitudes to zero."""
     live = amps != 0
     pairs = live[part.m_idx] | live[part.p_idx]
-    pairs = slice(None) if pairs.all() else np.flatnonzero(pairs)
-    return pairs, part.singletons[live[part.singletons]]
+    pairs = slice(None) if pairs.all() else pairs
+    return part.m_idx[pairs], part.p_idx[pairs], part.singletons[live[part.singletons]]
 
 
 def _block_step(part: BlockPartition, Omega: float, tau: float, amps):
@@ -376,11 +378,8 @@ def _block_step(part: BlockPartition, Omega: float, tau: float, amps):
     in the same order, so its entries match that form bit for bit; every
     other entry is the zero that the dense form also gives, bar its sign.
     """
-    pairs, single = _live_blocks(part, amps)
-    m, p = part.m_idx[pairs], part.p_idx[pairs]
-    eps_m, eps_p, c, s = _pair_eigen(
-        Omega, part.delta[pairs], part.e_rot[m], part.e_rot[p]
-    )
+    m, p, single = _live_blocks(part, amps)
+    eps_m, eps_p, c, s = _pair_eigen(Omega, part.e_rot[m], part.e_rot[p])
     ym, yp = _turn(c, s, amps[m], amps[p])
     ym = np.exp(-1j * eps_m * tau) * ym
     yp = np.exp(-1j * eps_p * tau) * yp

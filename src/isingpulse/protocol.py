@@ -17,11 +17,9 @@ import math
 from dataclasses import dataclass
 from typing import ClassVar
 
-from .basis import BasisState, flip
+from .basis import BasisState, clocks_differ, flip
 from .errors import ProtocolError
 from .hamiltonian import ChainParams, h0_energy_table
-
-START_TIME_TOL = 1e-9
 
 # Ratio levels for the ordering checks: "much less than" is taken as a
 # quarter; anything at or past one has plainly left the regime.
@@ -82,7 +80,7 @@ class Protocol:
         object.__setattr__(self, "pulses", tuple(self.pulses))
         t = 0.0
         for i, pu in enumerate(self.pulses):
-            if abs(pu.t_start - t) > START_TIME_TOL * (1.0 + abs(t)):
+            if clocks_differ(pu.t_start, t):
                 raise ProtocolError(
                     f"pulse {i} starts at {pu.t_start}, expected {t} "
                     "(pulses must abut)"
@@ -92,9 +90,6 @@ class Protocol:
     @property
     def total_time(self) -> float:
         return self.pulses[-1].t_end if self.pulses else 0.0
-
-    def __len__(self) -> int:
-        return len(self.pulses)
 
 
 def resonance_frequency(s: BasisState, k: int, p: ChainParams) -> float:

@@ -4,14 +4,21 @@ import pytest
 from isingpulse import (
     BasisState,
     CapacityError,
+    ChainParams,
     FrameError,
+    ProtocolError,
+    Pulse,
     StateVector,
+    basis,
+    dynamical_fidelity,
     flip,
     format_state_table,
     ground_state,
+    propagate_pulse,
     spin_z,
 )
-from isingpulse.basis import total_spin_z
+from isingpulse.basis import clocks_differ, total_spin_z
+from isingpulse.protocol import Protocol
 
 
 def test_spin_z_all_ground():
@@ -152,3 +159,29 @@ def test_state_table_format():
     assert first[1] == "00"
     assert float(first[2]) == 1.0
     assert float(first[4]) == 1.0
+
+
+def test_clocks_differ_relative_to_the_reference():
+    assert not clocks_differ(1e-9, 0.0)
+    assert clocks_differ(2e-9, 0.0)
+    assert not clocks_differ(1e3 + 1e-6, 1e3)
+    assert clocks_differ(1e3 + 2e-6, 1e3)
+    # Written with >, so a NaN time passes, as each clock check always did.
+    assert not clocks_differ(float("nan"), 0.0)
+
+
+def test_one_clock_tolerance_judges_every_clock(monkeypatch):
+    p = ChainParams(L=3, a=100.0, J=1.0)
+    pulse = Pulse(nu=50.0, Omega=0.1, duration=1.0, t_start=1e-12)
+    early = StateVector(ground_state(3).amplitudes, time=1e-12)
+    # Within the tolerance of zero, every check accepts the 1e-12 offset.
+    Protocol(pulses=(pulse,), params=p)
+    propagate_pulse(ground_state(3), pulse, p, step=lambda amps, _: amps)
+    dynamical_fidelity(early, ground_state(3))
+    monkeypatch.setattr(basis, "CLOCK_TOL", 0.0)
+    with pytest.raises(ProtocolError):
+        Protocol(pulses=(pulse,), params=p)
+    with pytest.raises(FrameError):
+        propagate_pulse(ground_state(3), pulse, p, step=lambda amps, _: amps)
+    with pytest.raises(FrameError):
+        dynamical_fidelity(early, ground_state(3))

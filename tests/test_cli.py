@@ -357,6 +357,19 @@ def test_slope_command(tmp_path):
     assert run_cli("slope", "--from", "4", "--to", "5") == EXIT_USAGE
 
 
+def test_slope_takes_no_chain_length(tmp_path):
+    # slope sweeps L over --from..--to: --L is no option of it, and a config
+    # file's L is skipped, as any key a command lacks.
+    args = ("--J", "1.945", "--a", "100", "--omega", "0.118", "--from", "3", "--to", "5")
+    assert run_cli("slope", "--L", "8", *args) == EXIT_USAGE
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("L = 99\n")
+    plain, configured = tmp_path / "a.txt", tmp_path / "b.txt"
+    assert run_cli("slope", *args, "--out", str(plain)) == EXIT_OK
+    assert run_cli("slope", *args, "--config", str(cfg), "--out", str(configured)) == EXIT_OK
+    assert read(configured) == read(plain)
+
+
 def test_slope_at_zero_coupling(tmp_path):
     # The predicted slope -Omega^2/(4 J^2) diverges at J = 0; the command
     # reports it as -inf instead of failing.

@@ -345,6 +345,26 @@ def test_chain_params_validation():
         ChainParams(L=0, a=1.0)
 
 
+@pytest.mark.parametrize("L", [4.5, math.inf, math.nan, "5", None])
+def test_chain_params_reject_non_integer_lengths(L):
+    # The length is checked first: J = nan is not what fails here.
+    with pytest.raises(ValueError, match="^chain length L must be an integer"):
+        ChainParams(L=L, a=100.0, J=math.nan)
+
+
+@pytest.mark.parametrize("L", [4, 4.0, np.int64(4), np.float64(4.0)],
+                         ids=["int", "float", "numpy-int", "numpy-float"])
+def test_chain_params_store_integral_lengths_as_int(L):
+    p = ChainParams(L=L, a=100.0, J=1.945)
+    assert type(p.L) is int and p == ChainParams(L=4, a=100.0, J=1.945)
+
+
+def test_float_chain_length_runs_the_walk():
+    f = [protocol_fidelity(ChainParams(L=L, a=100.0, J=1.945), 0.118, "pert").f_pert
+         for L in (4.0, 4)]
+    assert f[0] == f[1]
+
+
 @pytest.mark.parametrize("field", ["J", "a", "omega0"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_chain_params_reject_non_finite_values(field, value):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import weakref
 from types import SimpleNamespace
@@ -30,6 +31,7 @@ from isingpulse.exact import _transition_key, propagate_protocol, propagate_puls
 from isingpulse.hamiltonian import rotating_energy_table
 from isingpulse.pert import (
     ORDER_BLOCK_PT1,
+    BlockPartition,
     _apply_pt1,
     _block_rotation,
     _block_u,
@@ -267,6 +269,15 @@ def test_partition_blocks_object_view():
     assert part.p_idx[i0] == 1
     assert len(part.m_idx) == len(part.p_idx) == len(part.delta)
     assert 2 * len(part.m_idx) + len(part.singletons) <= 1 << 6
+
+
+def test_partition_stores_pairs_not_detunings():
+    # A pair is two indices into e_rot; its detuning is read off the table.
+    names = [f.name for f in dataclasses.fields(BlockPartition)]
+    assert names == ["L", "m_idx", "p_idx", "singletons", "e_rot", "n_conflicts"]
+    part = partition_blocks(build_entanglement_protocol(P6, 0.118).pulses[3], P6)
+    assert np.array_equal(part.delta, part.e_rot[part.p_idx] - part.e_rot[part.m_idx])
+    assert np.all(np.abs(part.delta) <= default_threshold(P6))
 
 
 def test_two_level_block_validates_single_flip():

@@ -46,7 +46,7 @@ def test_border_vs_bulk_resonance_differs_by_J():
 def test_protocol_pulse_count_and_durations():
     Omega = 0.118
     prot = build_entanglement_protocol(P6, Omega)
-    assert len(prot) == 2 * 6 - 2
+    assert len(prot.pulses) == 2 * 6 - 2
     assert prot.pulses[0].duration == pytest.approx(math.pi / (2 * Omega))
     for pu in prot.pulses[1:]:
         assert pu.duration == pytest.approx(math.pi / Omega)
@@ -112,7 +112,7 @@ def test_spectator_detunings_pattern():
 
 def test_mirror_protocol_walks_other_way():
     prot = build_entanglement_protocol(P6, 0.118, mirror=True)
-    assert len(prot) == 10
+    assert len(prot.pulses) == 10
     src0, k0 = prot.pulses[0].target
     assert src0.index == 0 and k0 == 5
     assert protocol_target_index(prot) == 0b100001
@@ -237,7 +237,7 @@ def test_protocol_table_roundtrip_fields():
     text = format_protocol_table(prot)
     lines = text.strip().split("\n")
     assert lines[0].startswith("#")
-    assert len(lines) == 1 + len(prot)
+    assert len(lines) == 1 + len(prot.pulses)
     row0 = lines[1].split()
     assert int(row0[0]) == 0
     assert float(row0[1]) == prot.pulses[0].nu
