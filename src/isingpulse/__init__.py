@@ -24,11 +24,8 @@ from .errors import (
 from .exact import from_rotating, propagate_pulse, run_protocol, to_rotating
 from .fidelity import (
     FidelityReport,
-    PredictedFidelity,
     build_ideal_state,
     dynamical_fidelity,
-    fidelity_minima_J,
-    predicted_fidelity,
     protocol_fidelity,
 )
 from .hamiltonian import (
@@ -66,7 +63,6 @@ __all__ = [
     "FidelityReport",
     "FrameError",
     "NumericalError",
-    "PredictedFidelity",
     "Protocol",
     "ProtocolError",
     "Pulse",
@@ -78,7 +74,6 @@ __all__ = [
     "dynamical_fidelity",
     "epsilon_param",
     "eta_param",
-    "fidelity_minima_J",
     "flip",
     "format_protocol_table",
     "format_state_table",
@@ -86,7 +81,6 @@ __all__ = [
     "ground_state",
     "h0_energy_table",
     "partition_blocks",
-    "predicted_fidelity",
     "propagate_pulse",
     "protocol_fidelity",
     "resonance_frequency",

@@ -30,8 +30,8 @@ CLOCK_TOL = 1e-9
 
 def clocks_differ(t: float, ref: float) -> bool:
     """Whether time ``t`` is off the reference clock ``ref`` by more than
-    CLOCK_TOL * (1 + |ref|).  A NaN time compares False, so it passes."""
-    return abs(t - ref) > CLOCK_TOL * (1.0 + abs(ref))
+    CLOCK_TOL * (1 + |ref|).  Written so that a NaN time differs."""
+    return not abs(t - ref) <= CLOCK_TOL * (1.0 + abs(ref))
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ import numpy as np
 
 from .basis import format_state_table
 from .errors import ProtocolError, SpinChainError
+from .exact import check_dense_capacity
 from .fidelity import protocol_fidelity
 from .hamiltonian import ChainParams, chaos_border
 from .pert import ORDER_BLOCK, ORDER_BLOCK_PT1
@@ -159,7 +160,7 @@ def cmd_run(args) -> int:
     lines = [
         f"L = {params.L}  J = {params.J:g}  a = {params.a:g}  "
         f"omega0 = {params.omega0:g}  Omega = {args.omega:g}",
-        f"pulses = {2 * params.L - 2}  near_resonant (M) = {report.M}",
+        f"pulses = {report.M + 1}  near_resonant (M) = {report.M}",
         f"total_time = {_fmt(report.total_time)}",
         f"m_th = {_fmt(report.m_th)}",
         "spectator_detunings = " + " ".join(_fmt(d) for d in report.spectator),
@@ -300,9 +301,11 @@ def fit_fidelity_slope(ls, fs):
 
 
 def cmd_slope(args) -> int:
-    ls = list(range(args.lo, args.hi + 1))
-    if len(ls) < 3:
+    if args.hi - args.lo < 2:
         raise _UsageError("slope fit needs at least 3 chain lengths")
+    # Every L runs the exact route: check the largest before running any.
+    check_dense_capacity(args.hi)
+    ls = range(args.lo, args.hi + 1)
     fs = []
     for L in ls:
         params = ChainParams(L=L, omega0=args.omega0, a=args.a, J=args.J)

@@ -44,6 +44,12 @@ from .protocol import Protocol, Pulse
 MAX_QUBITS_DENSE = 13
 
 
+def check_dense_capacity(L: int) -> None:
+    """Raise :class:`CapacityError` when an L-qubit pulse is past the dense cap."""
+    if L > MAX_QUBITS_DENSE:
+        raise CapacityError(f"L={L} exceeds the dense-propagator cap {MAX_QUBITS_DENSE}")
+
+
 def _spin_z_phase(x: complex, L: int) -> np.ndarray:
     """exp(x * Sz_total) for every basis state, from the L + 1 levels."""
     return np.exp(x * spin_z_levels(L))[excitation_count(L)]
@@ -147,10 +153,7 @@ def _dense_step(p: ChainParams, pulses=()):
     one step.  A pulse whose nu is not the cached one to within rounding
     gets an eigensystem of its own.
     """
-    if p.L > MAX_QUBITS_DENSE:
-        raise CapacityError(
-            f"L={p.L} exceeds the dense-propagator cap {MAX_QUBITS_DENSE}"
-        )
+    check_dense_capacity(p.L)
     props = _SharedByKey(_transition_key(pu) for pu in pulses)
 
     def step(amps: np.ndarray, pulse: Pulse) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Ideal target state, overlap fidelity, and the analytic fidelity model.
+"""Ideal target state, overlap fidelity, and the slope ``m_th``.
 
 The ideal state is defined operationally: run the block step, through the
 pulse driver shared with the other routes, but let only the intended
@@ -91,53 +91,6 @@ def build_ideal_state(prot: Protocol) -> StateVector:
     return propagate_protocol(ground_state(p.L), prot, step)
 
 
-def fidelity_minima_J(Omega: float, k: int) -> float:
-    """Coupling value whose 2J detuning completes k full cycles per pi pulse.
-
-    (Omega/2) * sqrt(4k^2 - 1); inverse of the full-cycle drive strength.
-    """
-    if k != int(k) or k < 1:
-        raise ValueError(f"cycle index k must be a positive integer, got {k}")
-    return 0.5 * Omega * math.sqrt(4.0 * k * k - 1.0)
-
-
-@dataclass(frozen=True)
-class PredictedFidelity:
-    """Analytic protocol fidelity from the per-pulse error probability.
-
-    ``f_ansatz`` evaluates (2 - M*eps + 2*sqrt(1 - M*eps))/4 with the
-    worst-case eps = Omega^2/(4 J^2) and M = 2L-3 near-resonant pulses;
-    ``f_linear`` is its linearization with slope m_th = -Omega^2/(4 J^2).
-    Outside M*eps < 1 the ansatz is meaningless and ``valid`` is False.
-    """
-
-    L: int
-    M: int
-    epsilon: float
-    f_ansatz: float
-    f_linear: float
-    m_th: float
-    valid: bool
-
-
-def predicted_fidelity(L: int, Omega: float, J: float) -> PredictedFidelity:
-    if L < 2:
-        raise ValueError(f"need at least two qubits, got L={L}")
-    if not J > 0:
-        raise ValueError(f"need J > 0 for the slope model, got {J}")
-    eps = Omega * Omega / (4.0 * J * J)
-    m = 2 * L - 3
-    m_th = -eps
-    f_lin = m_th * L + 1.0 + 1.5 * eps
-    valid = m * eps < 1.0
-    f_ans = (
-        0.25 * (2.0 - m * eps + 2.0 * math.sqrt(1.0 - m * eps)) if valid else math.nan
-    )
-    return PredictedFidelity(
-        L=L, M=m, epsilon=eps, f_ansatz=f_ans, f_linear=f_lin, m_th=m_th, valid=valid
-    )
-
-
 @dataclass(frozen=True)
 class FidelityReport:
     """Result of one protocol run: fidelities, per-pulse diagnostics and the
@@ -148,11 +101,16 @@ class FidelityReport:
     f_exact: float | None
     f_pert: float | None
     spectator: tuple[float, ...]
-    M: int
     m_th: float
     total_time: float
     psi_exact: StateVector | None = field(repr=False, compare=False)
     psi_pert: StateVector | None = field(repr=False, compare=False)
+
+    @property
+    def M(self) -> int:
+        """Near-resonant pulse count: one spectator detuning a pulse after
+        the first."""
+        return len(self.spectator)
 
     @property
     def one_minus_f(self) -> float | None:
@@ -193,7 +151,6 @@ def protocol_fidelity(
         f_exact=f_exact,
         f_pert=f_pert,
         spectator=tuple(spectator_detunings(prot)),
-        M=2 * p.L - 3,
         m_th=-(Omega * Omega) / (4.0 * p.J * p.J) if p.J > 0 else -math.inf,
         total_time=prot.total_time,
         psi_exact=psi_r,

@@ -166,8 +166,9 @@ def test_clocks_differ_relative_to_the_reference():
     assert clocks_differ(2e-9, 0.0)
     assert not clocks_differ(1e3 + 1e-6, 1e3)
     assert clocks_differ(1e3 + 2e-6, 1e3)
-    # Written with >, so a NaN time passes, as each clock check always did.
-    assert not clocks_differ(float("nan"), 0.0)
+    # A NaN clock is never within the tolerance, on either side.
+    assert clocks_differ(float("nan"), 0.0)
+    assert clocks_differ(0.0, float("nan"))
 
 
 def test_one_clock_tolerance_judges_every_clock(monkeypatch):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import isingpulse
-from isingpulse import ChainParams, validate_selective
+from isingpulse import ChainParams, cli, validate_selective
 from isingpulse.cli import (
     CSV_HEADER,
     EXIT_NUMERICAL,
@@ -355,6 +355,16 @@ def test_slope_command(tmp_path):
     assert m_th == pytest.approx(-(0.118**2) / (4 * 5.01**2))
     assert slope < 0
     assert run_cli("slope", "--from", "4", "--to", "5") == EXIT_USAGE
+
+
+def test_slope_checks_the_dense_cap_before_any_run(monkeypatch, capsys):
+    # Past the cap the command used to run every L below it first.
+    def never_called(*args, **kwargs):
+        raise AssertionError("ran the exact route past the dense cap")
+
+    monkeypatch.setattr(cli, "protocol_fidelity", never_called)
+    assert run_cli("slope", "--from", "4", "--to", "14") == EXIT_NUMERICAL
+    assert "exceeds the dense-propagator cap 13" in capsys.readouterr().err
 
 
 def test_slope_takes_no_chain_length(tmp_path):

@@ -212,6 +212,9 @@ def test_pulse_clock_contract():
     pu = Pulse(nu=1.0, Omega=0.1, duration=1.0, t_start=2.0)
     with pytest.raises(FrameError):
         propagate_pulse(ground_state(2), pu, p)
+    nan_clock = StateVector(ground_state(2).amplitudes, time=math.nan)
+    with pytest.raises(FrameError, match="state clock nan"):
+        propagate_pulse(nan_clock, pu, p)
 
 
 @pytest.mark.parametrize(

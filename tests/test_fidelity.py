@@ -15,9 +15,7 @@ from isingpulse import (
     dynamical_fidelity,
     epsilon_param,
     eta_param,
-    fidelity_minima_J,
     ground_state,
-    predicted_fidelity,
     protocol_fidelity,
     run_protocol,
     spectator_detunings,
@@ -66,6 +64,9 @@ def test_fidelity_contract_checks():
         dynamical_fidelity(a, StateVector(a.amplitudes, time=0.0, rot_nu=1.0))
     with pytest.raises(FrameError):
         dynamical_fidelity(a, StateVector(a.amplitudes, time=5.0))
+    with pytest.raises(FrameError, match="times differ"):
+        dynamical_fidelity(StateVector(ground_state(3).amplitudes, time=math.nan),
+                           ground_state(3))
 
 
 # ------------------------------------------------------ ideal state
@@ -252,47 +253,10 @@ def test_fake_transition_collapses_fidelity():
     assert 1.0 - good.f_exact < 5e-3
 
 
-# ------------------------------------------------------ analytic model
-
-
-def test_predicted_fidelity_slope_value():
-    pred = predicted_fidelity(6, 0.118, 1.945)
-    assert pred.m_th == pytest.approx(-9.20e-4, abs=5e-7)
-    assert pred.M == 9
-    assert pred.valid
-
-
-def test_predicted_fidelity_weak_drive_limit():
-    pred = predicted_fidelity(8, 1e-6, 1.0)
-    assert pred.f_ansatz == pytest.approx(1.0, abs=1e-9)
-    assert pred.f_linear == pytest.approx(1.0, abs=1e-9)
-
-
-def test_predicted_fidelity_linearization_consistent():
-    pred = predicted_fidelity(6, 0.1, 2.0)
-    # linear form = 1 - M*eps/2 rearranged in L
-    assert pred.f_linear == pytest.approx(1.0 - pred.M * pred.epsilon / 2.0, abs=1e-12)
-
-
-def test_predicted_fidelity_out_of_validity():
-    pred = predicted_fidelity(10, 1.0, 0.5)  # M*eps = 17
-    assert not pred.valid
-    assert math.isnan(pred.f_ansatz)
-
-
-def test_fidelity_minima_values_and_roundtrip():
-    assert fidelity_minima_J(0.118, 1) == pytest.approx(0.1022, abs=5e-5)
-    for k in (1, 2, 5, 16):
-        J = fidelity_minima_J(0.37, k)
-        assert two_pi_k_omega(J, k) == pytest.approx(0.37, rel=1e-12)
-    with pytest.raises(ValueError):
-        fidelity_minima_J(0.1, 0)
-
-
 def test_coupling_scan_dips_at_predicted_minimum():
-    # A J-scan has a local infidelity minimum at (Omega/2)*sqrt(4k^2-1).
+    # A J-scan has a local infidelity minimum where Omega is the drive that
+    # closes two full cycles of the 2J detuning, two_pi_k_omega(J, 2).
     Om = 0.118
-    target = fidelity_minima_J(Om, 2)
     js = np.arange(0.20, 0.26, 0.001)
     vals = [
         1.0 - protocol_fidelity(ChainParams(L=6, a=100.0, J=float(j)), Om).f_exact
@@ -300,7 +264,7 @@ def test_coupling_scan_dips_at_predicted_minimum():
     ]
     i = int(np.argmin(vals))
     assert 0 < i < len(js) - 1  # interior minimum
-    assert abs(js[i] - target) / target < 0.02
+    assert abs(two_pi_k_omega(js[i], 2) - Om) / Om < 0.02
 
 
 def test_infidelity_improves_with_coupling():
@@ -313,7 +277,6 @@ def test_infidelity_improves_with_coupling():
 
 def test_report_fields():
     rep = protocol_fidelity(P6, 0.118, propagator="both")
-    assert rep.M == 2 * 6 - 3
     assert rep.m_th == pytest.approx(-(0.118**2) / 4.0)
     assert len(rep.spectator) == 2 * 6 - 3
     assert rep.one_minus_f == pytest.approx(1.0 - rep.f_exact)
@@ -322,6 +285,13 @@ def test_report_fields():
     assert rep.total_time == pytest.approx(
         math.pi / (2 * 0.118) + 9 * math.pi / 0.118
     )
+    # M counts the pulses after the first, on either walk.
+    for mirror in (False, True):
+        p = ChainParams(L=6, omega0=100.0 if mirror else 0.0, a=100.0, J=1.945)
+        rep = protocol_fidelity(p, 0.118, "pert", mirror=mirror)
+        prot = build_entanglement_protocol(p, 0.118, mirror=mirror)
+        assert rep.M == len(prot.pulses) - 1 == 9
+        assert rep.m_th == pytest.approx(-9.20e-4, abs=5e-7)
 
 
 def _never_called(*args, **kwargs):
