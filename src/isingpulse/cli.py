@@ -35,6 +35,7 @@ from .hamiltonian import ChainParams, chaos_border
 from .pert import ORDER_BLOCK, ORDER_BLOCK_PT1
 from .protocol import (
     build_entanglement_protocol,
+    check_drive,
     format_protocol_table,
     two_pi_k_omega,
     validate_selective,
@@ -335,6 +336,7 @@ def cmd_slope(args) -> int:
 
 def cmd_chaos(args) -> int:
     params = _chain(args)
+    check_drive(args.omega)
     est = chaos_border(params)
     below = est.is_below_border(args.omega)
     lines = [

@@ -4,8 +4,10 @@ Within one pulse the rotating-frame Hamiltonian is stationary, so the pulse
 unitary is a single matrix exponential obtained from a full Hermitian
 eigendecomposition (machine-precision unitary), computed by LAPACK's
 divide-and-conquer driver (``evd``).  A run builds one eigensystem per
-transition the walk drives on paper, L + 1 for the 2L - 2 pulses of the
-entanglement walk, and frees each one after the last pulse that uses it.
+distinct ``(nu, Omega)``, the sharing rule of every route: the walk tunes
+each pulse of one transition to the same nu bit for bit, so its 2L - 2
+pulses take L + 1.  Each eigensystem is freed after the last pulse that
+uses it.
 Between frames the states pick up the diagonal phases
 
     lab -> rotating:   c_s *= exp(-i nu t Sz(s))
@@ -73,7 +75,6 @@ def from_rotating(psi: StateVector, nu: float, t: float) -> StateVector:
 class PulsePropagator:
     """Cached eigensystem of one pulse's rotating-frame Hamiltonian."""
 
-    ham: RotFrameHam
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
@@ -82,7 +83,7 @@ class PulsePropagator:
         w, v = scipy.linalg.eigh(ham.dense(), check_finite=False, driver="evd")
         w.setflags(write=False)
         v.setflags(write=False)
-        return cls(ham=ham, eigenvalues=w, eigenvectors=v)
+        return cls(eigenvalues=w, eigenvectors=v)
 
     def apply(self, amps: np.ndarray, tau: float) -> np.ndarray:
         """exp(-i H tau) applied to rotating-frame amplitudes.  Every pulse
@@ -93,27 +94,6 @@ class PulsePropagator:
         x = np.ascontiguousarray(amps, dtype=complex).view(float).reshape(-1, 2)
         y = (v.T @ x).view(complex).ravel() * phase
         return (v @ y.view(float).reshape(-1, 2)).view(complex).ravel()
-
-
-def _transition_key(pulse: Pulse) -> tuple:
-    """Cache key of a pulse's rotating-frame Hamiltonian.
-
-    A walk pulse flips qubit k of its source state, and its frequency is
-    fixed on paper by k and the number of k's excited neighbours, so that
-    pair keys it instead of the float nu, whose last bits depend on which
-    energies were subtracted.  A hand-built pulse keys by its nu.
-    """
-    if pulse.target is None:
-        return (pulse.nu, pulse.Omega)
-    src, k = pulse.target
-    excited = sum(src.index >> j & 1 for j in (k - 1, k + 1) if 0 <= j < src.L)
-    return (k, excited, pulse.Omega)
-
-
-# Walk pulses that share a transition key differ in nu by rounding only,
-# at most 2.8e-14 of nu on either walk for L = 3..14; a larger gap means
-# the target annotation does not describe the pulse.
-_SAME_NU_RTOL = 1e-12
 
 
 class _SharedByKey:
@@ -128,14 +108,11 @@ class _SharedByKey:
         self._uses = Counter(keys)
         self._held: dict = {}
 
-    def take(self, key, build, *args, fits=None):
-        """The value held for ``key``, or ``build(*args)`` when none is held
-        or ``fits(value)`` is false.  A value built for a misfit serves only
-        this use: the held one stays for the pulses after it."""
+    def take(self, key, build, *args):
+        """The value held for ``key``, or ``build(*args)`` when none is held."""
         value = self._held.get(key)
-        if value is None or (fits is not None and not fits(value)):
-            value = build(*args)
-            self._held.setdefault(key, value)
+        if value is None:
+            value = self._held[key] = build(*args)
         self._uses[key] -= 1
         if self._uses[key] <= 0:
             del self._held[key], self._uses[key]
@@ -143,24 +120,19 @@ class _SharedByKey:
 
 
 def _dense_step(p: ChainParams, pulses=()):
-    """Exact pulse step, with eigensystems shared by transition.
+    """Exact pulse step, with one eigensystem per distinct ``(nu, Omega)``.
 
-    Pulses that drive the same transition on paper (same
-    :func:`_transition_key`) share one eigensystem, built from the first
-    of them, so the entanglement walk's 2L - 2 pulses take L + 1.  Each
-    eigensystem is freed once the last of ``pulses`` that uses it has
-    been stepped; a key that ``pulses`` does not list is freed after its
-    one step.  A pulse whose nu is not the cached one to within rounding
-    gets an eigensystem of its own.
+    Each eigensystem is freed once the last of ``pulses`` that uses it has
+    been stepped; a drive that ``pulses`` does not list is freed after its
+    one step.
     """
     check_dense_capacity(p.L)
-    props = _SharedByKey(_transition_key(pu) for pu in pulses)
+    props = _SharedByKey((pu.nu, pu.Omega) for pu in pulses)
 
     def step(amps: np.ndarray, pulse: Pulse) -> np.ndarray:
         prop = props.take(
-            _transition_key(pulse),
+            (pulse.nu, pulse.Omega),
             lambda: PulsePropagator.build(RotFrameHam(p, pulse.nu, pulse.Omega)),
-            fits=lambda held: abs(held.ham.nu - pulse.nu) <= _SAME_NU_RTOL * abs(pulse.nu),
         )
         return prop.apply(amps, pulse.duration)
 

@@ -95,9 +95,15 @@ def h0_energy_table(p: ChainParams, idx=None) -> np.ndarray:
     Without ``idx``, all 2^L states in index order, as a fresh writable
     copy of the cached table.  A subset costs O(L * len(idx)) and no 2^L
     array; it comes from the table's evaluator, so it agrees bit for bit.
+    An index that is not an integer in [0, 2^L) raises ValueError.
     """
     if idx is None:
         return _static_energy_table(p).copy()
+    # Checked as Python ints, so the bound holds past int64 too.
+    bad = [i for i in np.asarray(idx, dtype=object).flat
+           if not isinstance(i, (int, np.integer)) or not 0 <= i < 1 << p.L]
+    if bad:
+        raise ValueError(f"basis index {bad[0]!r} is not an integer in [0, 2^{p.L})")
     return _h0_energies(p, idx)
 
 

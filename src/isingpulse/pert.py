@@ -59,10 +59,11 @@ dressing takes 0.19 ms a pulse at L = 6 and 1.5-1.8 ms at L = 10 (2-core
 host, one BLAS thread).
 
 The Cayley factor costs one real sparse LU per distinct ``(nu, Omega)``
-of a run: pulses that repeat a drive bit for bit share it, and it is
-freed after the last of them (:func:`run_protocol_pert`).  An L = 10 walk
-at J in [1, 3] has 13 such drives for its 18 pulses on average, which
-saves about a quarter of the run.  ``I - A/2`` is built as real CSC, and
+of a run, the exact route's sharing rule: pulses that repeat a drive bit
+for bit share it, and it is freed after the last of them
+(:func:`run_protocol_pert`).  The walk tunes every pulse of one
+transition to the same nu, so its 2L - 2 pulses take L + 1 factors, 11
+for the 18 pulses at L = 10.  ``I - A/2`` is built as real CSC, and
 both complex right-hand sides are solved as one real n x 2 block.  A is
 real antisymmetric, so the factor's pattern is symmetric and is ordered
 by minimum degree on A^T + A.  The factor is column
@@ -527,8 +528,8 @@ def run_protocol_pert(
     Under block+pt1, pulses with the same ``(nu, Omega)`` bit for bit share
     one Cayley factor, built at the first of them and freed after the
     last: the partition, the dressing and so the factor are functions of
-    those two and the chain alone, so sharing changes no bit.  Pulses of
-    one transition whose nu differs by rounding get factors of their own.
+    those two and the chain alone, so sharing changes no bit.  Every pulse
+    of one walk transition has the same nu, so the walk takes L + 1.
     """
     if order not in (ORDER_BLOCK, ORDER_BLOCK_PT1):
         raise ValueError(f"unknown order {order!r}")

@@ -9,12 +9,20 @@ neighbour j-1, then flip j-1 back).  Every pulse frequency is the exact
 static-energy difference of its intended transition, so the intended
 transition is resonant while the parked |0...0> branch is detuned by 2J
 (4J at the one pulse whose target has both neighbours excited).
+
+On paper that difference depends only on the flipped qubit k and on how
+many of k's neighbours are excited, so it is read from one canonical pair
+of states per transition (:func:`_canonical_pair`), not from the path
+states themselves: every pulse of one transition carries the same nu to
+the bit, and the propagators share their work between pulses by
+``(nu, Omega)`` alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import ClassVar
 
 from .basis import BasisState, clocks_differ, flip
@@ -92,20 +100,36 @@ class Protocol:
         return self.pulses[-1].t_end if self.pulses else 0.0
 
 
+def _canonical_pair(s: BasisState, k: int) -> tuple[int, int]:
+    """Indices of the one pair of states whose energy gap tunes the drive
+    that flips qubit k of s.
+
+    The source has qubit k clear and as many of k's neighbours excited as
+    s has, set from k-1 first, then k+1; the target is the source with
+    qubit k set.  Every state that shares k and that count has the same
+    pair, so every pulse of one transition reads the same two energies.
+    """
+    nbrs = [j for j in (k - 1, k + 1) if 0 <= j < s.L]
+    src = BasisState(sum(1 << j for j in nbrs[:sum(s.bit(j) for j in nbrs)]), s.L)
+    return src.index, flip(src, k).index
+
+
 def resonance_frequency(s: BasisState, k: int, p: ChainParams) -> float:
     """Drive frequency resonant with flipping qubit k of state s.
 
-    The exact |E0(flip(s,k)) - E0(s)|; no closed-form shortcut, so the pulse
+    The exact |E0(flip(s,k)) - E0(s)|, taken on the transition's canonical
+    pair (:func:`_canonical_pair`); no closed-form shortcut, so the pulse
     stays resonant even when Ising shifts move the transition.  The absolute
     value only helps while the transition energy is positive: for a
     negative-energy transition the drive at |dE| is detuned from it by
     2|dE| and is resonant instead with any transition of energy +|dE|.
     """
-    e_flip, e_s = h0_energy_table(p, [flip(s, k).index, s.index])
-    return float(abs(e_flip - e_s))
+    e_src, e_dst = h0_energy_table(p, _canonical_pair(s, k))
+    return float(abs(e_dst - e_src))
 
 
-def _check_drive(Omega: float) -> None:
+def check_drive(Omega: float) -> None:
+    """Raise ValueError unless the Rabi frequency is positive (a NaN fails)."""
     if not Omega > 0:
         raise ValueError(f"Rabi frequency must be positive, got {Omega}")
 
@@ -143,21 +167,19 @@ def build_entanglement_protocol(
     """
     if p.L < 3:
         raise ProtocolError(f"the entanglement walk needs L >= 3, got L={p.L}")
-    _check_drive(Omega)
+    check_drive(Omega)
     order = _walk_order(p.L, mirror)
-    path = [BasisState(0, p.L)]
-    for k in order:
-        path.append(flip(path[-1], k))
-    # Pulse i is resonant with the step path[i] -> path[i+1], as in
-    # resonance_frequency; one vectorised call gives every energy of the walk.
-    energies = h0_energy_table(p, [s.index for s in path])
+    path = list(accumulate(order, flip, initial=BasisState(0, p.L)))
+    # Pulse i is tuned as resonance_frequency(path[i], k) is, on its
+    # transition's canonical pair; one vectorised call gives every energy.
+    energies = h0_energy_table(p, [_canonical_pair(path[i], k) for i, k in enumerate(order)])
     pulses = []
     t = 0.0
     for i, k in enumerate(order):
         duration = math.pi / (2.0 * Omega) if i == 0 else math.pi / Omega
         pulses.append(
             Pulse(
-                nu=float(abs(energies[i + 1] - energies[i])),
+                nu=float(abs(energies[i, 1] - energies[i, 0])),
                 Omega=Omega,
                 duration=duration,
                 t_start=t,
@@ -241,7 +263,7 @@ def validate_selective(p: ChainParams, Omega: float) -> SelectiveReport:
     ``p.J``; this is also the sweep's ``fake-window`` flag.  Only the few k
     near d*J/a are tried, so the cost does not grow with L.
     """
-    _check_drive(Omega)
+    check_drive(Omega)
     inf = math.inf
     ratios = [
         ("Omega/J", Omega / p.J if p.J > 0 else inf),

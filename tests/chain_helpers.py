@@ -44,6 +44,13 @@ def protocol_target_index(prot: Protocol) -> int:
     return idx
 
 
+def paper_transition(pulse) -> tuple[int, int]:
+    """The transition a walk pulse drives on paper: the flipped qubit k and
+    how many of k's neighbours its source state has excited."""
+    src, k = pulse.target
+    return k, sum(src.bit(j) for j in (k - 1, k + 1) if 0 <= j < src.L)
+
+
 def xi(ham: RotFrameHam) -> np.ndarray:
     """Rotating-frame site detunings xi_k = w_k - nu."""
     return np.array([ham.params.omega(k) - ham.nu for k in range(ham.params.L)])

@@ -541,8 +541,9 @@ def test_huge_chains_are_judged_in_constant_time(tmp_path, capsys, argv, code, e
 
 # Reference outputs of the invocations below, kept so that a refactor is
 # held to the bytes of the code before it.  A change of output made on
-# purpose regenerates them (``python -m isingpulse <argv> >
-# tests/data/cli/<file>``) and says so in CHANGES.md.
+# purpose regenerates them (``OPENBLAS_NUM_THREADS=1 python -m isingpulse
+# <argv> > tests/data/cli/<file>``: the CSV bytes depend on the BLAS thread
+# count) and says so in CHANGES.md.
 REF = ("--L", "6", "--J", "1", "--a", "100", "--omega", "0.118")
 GOLDEN_SWEEP = ("sweep", "--param", "J", "--values", "0.8,1.945,24.9,33.4,50.1",
                 "--L", "5", "--propagator", "both", "--order", "block+pt1")
@@ -645,16 +646,28 @@ def test_cold_start_loads_no_scipy_linalg_sparse_or_process_pool(argv):
     ("sweep", "--param", "J", "--from", "2", "--to", "2", "--steps", "0", "--L", "4"),
     ("validate", "--omega", "-1"),
     ("validate", "--omega", "0", "--strict"),
+    ("chaos", "--omega", "0"),
+    ("chaos", "--omega", "-1"),
+    ("chaos", "--omega", "nan"),
 ], ids=["run-omega-0", "slope-a-negative", "dump-omega-negative",
         "sweep-steps-negative", "missing-config", "missing-out-dir",
         "sweep-workers-0", "sweep-values-nan", "sweep-values-empty",
-        "sweep-steps-0", "validate-omega-negative", "validate-omega-0-strict"])
+        "sweep-steps-0", "validate-omega-negative", "validate-omega-0-strict",
+        "chaos-omega-0", "chaos-omega-negative", "chaos-omega-nan"])
 def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, argv):
     argv = [arg.format(missing=tmp_path / "missing") for arg in argv]
     assert run_cli(*argv) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("omega", ["0", "-1", "nan"])
+def test_chaos_rejects_the_drive_validate_rejects_with_its_message(capsys, omega):
+    assert run_cli("validate", "--omega", omega) == EXIT_USAGE
+    want = capsys.readouterr()
+    assert run_cli("chaos", "--omega", omega) == EXIT_USAGE
+    assert capsys.readouterr() == want
 
 
 def test_sweep_records_invalid_model_values_per_point(tmp_path):

@@ -339,9 +339,9 @@ def test_eigensystem_is_freed_after_its_last_use(monkeypatch):
     built = _count_builds(monkeypatch)
     p = ChainParams(L=6, omega0=0.0, a=100.0, J=1.945)
     prot = build_entanglement_protocol(p, 0.118)
-    keys = [exact._transition_key(pu) for pu in prot.pulses]
+    keys = [(pu.nu, pu.Omega) for pu in prot.pulses]
     last_use = {key: i for i, key in enumerate(keys)}
-    refs = {}  # transition key -> weakref to its propagator
+    refs = {}  # (nu, Omega) -> weakref to its propagator
     done = []
     original = exact.propagate_pulse
 
@@ -371,7 +371,7 @@ def test_pulse_whose_nu_disagrees_with_its_target_gets_its_own_build(monkeypatch
     built = _count_builds(monkeypatch)
     p = ChainParams(L=5, omega0=0.0, a=100.0, J=1.945)
     walk = build_entanglement_protocol(p, 0.118).pulses
-    assert exact._transition_key(walk[5]) == exact._transition_key(walk[2])
+    assert walk[5].nu.hex() == walk[2].nu.hex()
     detuned = replace(walk[5], nu=walk[5].nu + 0.3)
     annotated = Protocol(pulses=walk[:5] + (detuned,) + walk[6:], params=p)
     bare = Protocol(

@@ -84,6 +84,20 @@ def test_h0_subset_beyond_int64_chains():
     assert e[1] == pytest.approx(zeeman - ising, abs=1e-9)
 
 
+@pytest.mark.parametrize("L", [5, 70])
+@pytest.mark.parametrize("index", ["-1", "2^L", "1.5", "2.0"])
+def test_h0_subset_rejects_indices_that_name_no_basis_state(L, index):
+    # Bit arithmetic would wrap -1 to the top state, 2^L to state 0 and
+    # truncate 1.5 to state 1; none of them is a basis index.
+    p = ChainParams(L=L, omega0=0.0, a=1.0, J=0.5)
+    bad = {"-1": -1, "2^L": 1 << L, "1.5": 1.5, "2.0": 2.0}[index]
+    with pytest.raises(ValueError, match="is not an integer in"):
+        h0_energy_table(p, [0, bad])
+    with pytest.raises(ValueError, match="is not an integer in"):
+        h0_energy_table(p, np.array([[bad]]))
+    assert h0_energy_table(p, [(1 << L) - 1]).shape == (1,)
+
+
 def test_one_static_table_per_protocol_run():
     # Every pulse of both routes, and the ideal state, read the one cached
     # table of the chain.

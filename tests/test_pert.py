@@ -27,7 +27,7 @@ from isingpulse import (
     two_pi_k_omega,
 )
 from isingpulse import pert as pert_module
-from isingpulse.exact import _transition_key, propagate_protocol, propagate_pulse
+from isingpulse.exact import propagate_protocol, propagate_pulse
 from isingpulse.hamiltonian import rotating_energy_table
 from isingpulse.pert import (
     ORDER_BLOCK_PT1,
@@ -41,6 +41,8 @@ from isingpulse.pert import (
     default_threshold,
 )
 from isingpulse.protocol import Protocol
+
+from chain_helpers import paper_transition
 
 P6 = ChainParams(L=6, omega0=0.0, a=100.0, J=1.0)
 
@@ -893,11 +895,11 @@ def _watch_factors(monkeypatch):
 
 
 def _walk_repeats(prot):
-    """Of the walk's repeated transitions, how many repeat the first
-    pulse's nu bit for bit and how many differ from it by rounding."""
+    """Of the walk's repeated transitions on paper, how many repeat the
+    first pulse's nu bit for bit and how many differ from it by rounding."""
     first, equal, rounded = {}, 0, 0
     for pu in prot.pulses:
-        key = _transition_key(pu)
+        key = paper_transition(pu)
         if key in first:
             equal += first[key] == pu.nu
             rounded += first[key] != pu.nu
@@ -907,13 +909,13 @@ def _walk_repeats(prot):
 
 
 def test_shared_factors_leave_the_walk_bit_identical():
-    # At L = 10, J = 1.945 some repeated pulses share their factor and some
-    # differ in nu by rounding and get their own; the state must be the
-    # one that a factor per pulse gives, to the last bit.
+    # At L = 10, J = 1.945 every repeated transition repeats its nu bit for
+    # bit and shares its factor; the state must be the one that a factor
+    # per pulse gives, to the last bit.
     p = ChainParams(L=10, omega0=0.0, a=100.0, J=1.945)
     prot = build_entanglement_protocol(p, 0.118)
     equal, rounded = _walk_repeats(prot)
-    assert equal > 0 and rounded > 0
+    assert equal > 0 and rounded == 0
     shared = run_protocol_pert(ground_state(10), prot, ORDER_BLOCK_PT1)
     alone = propagate_protocol(ground_state(10), prot, _unshared_pt1_step(p))
     assert np.array_equal(shared.amplitudes, alone.amplitudes)

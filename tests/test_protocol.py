@@ -19,7 +19,12 @@ from isingpulse import (
 )
 from isingpulse.protocol import FAKE_WINDOW, Protocol
 
-from chain_helpers import fake_transitions, protocol_target_index, single_flip_deltas
+from chain_helpers import (
+    fake_transitions,
+    paper_transition,
+    protocol_target_index,
+    single_flip_deltas,
+)
 
 P6 = ChainParams(L=6, omega0=0.0, a=100.0, J=1.0)
 
@@ -86,6 +91,23 @@ def test_protocol_frequencies_are_exact_resonances():
     for pu in prot.pulses:
         src, k = pu.target
         assert pu.nu == resonance_frequency(src, k, P6)
+
+
+@pytest.mark.parametrize("L", range(3, 15))
+@pytest.mark.parametrize("mirror", [False, True], ids=["walk", "mirror"])
+def test_pulses_of_one_transition_carry_one_nu_to_the_bit(L, mirror):
+    # On paper a pulse's frequency depends only on the flipped qubit and
+    # how many of its neighbours are excited, so its repeats must not differ
+    # in the last bits, even at the a/4 and a/3 collisions and past a/2;
+    # the walk then has L + 1 distinct drives, one per transition.
+    for J in (0.8, 1.945, 24.9, 33.4, 50.1):
+        p = ChainParams(L=L, omega0=100.0 if mirror else 0.0, a=100.0, J=J)
+        prot = build_entanglement_protocol(p, 0.118, mirror=mirror)
+        nus = {}
+        for pu in prot.pulses:
+            nus.setdefault(paper_transition(pu), set()).add(pu.nu.hex())
+        assert all(len(bits) == 1 for bits in nus.values()), f"J={J}: {nus}"
+        assert len(nus) == len({(pu.nu, pu.Omega) for pu in prot.pulses}) == L + 1
 
 
 def test_protocol_requires_three_qubits():
