@@ -16,8 +16,13 @@ Between frames the states pick up the diagonal phases
 evaluated at global time t, which is what keeps the relative phases of the
 branches right when pulses of different frequencies are chained.  Total
 spin-z takes only the L + 1 values L/2 - c, c the number of excited
-qubits, so each transform evaluates L + 1 exponentials and gathers them
-by the cached per-state count.
+qubits, so a pulse's two transforms are L + 1 exponentials each, the
+frame levels.  The pulse driver builds the levels and hands them to the
+route's step, which applies them where it gathers amplitudes: the block
+step and the ideal step on the entries that hold amplitude, the exact
+dense step and block+pt1, which need every entry, through
+:func:`rotating_step`'s full-array :func:`to_rotating` and
+:func:`from_rotating`.
 
 scipy is imported bare: its ``linalg`` submodule loads at the first eigh,
 so commands that never take this route (``validate``, ``chaos``, the block
@@ -52,9 +57,27 @@ def check_dense_capacity(L: int) -> None:
         raise CapacityError(f"L={L} exceeds the dense-propagator cap {MAX_QUBITS_DENSE}")
 
 
+def _frame_levels(x: complex, L: int) -> np.ndarray:
+    """exp(x * Sz_total) at each of the L + 1 levels of total spin-z."""
+    return np.exp(x * spin_z_levels(L))
+
+
 def _spin_z_phase(x: complex, L: int) -> np.ndarray:
     """exp(x * Sz_total) for every basis state, from the L + 1 levels."""
-    return np.exp(x * spin_z_levels(L))[excitation_count(L)]
+    return _frame_levels(x, L)[excitation_count(L)]
+
+
+def frame_phase(values: np.ndarray, counts: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """``values`` times the frame phase of the states with ``counts``
+    excitations, read from the L + 1 ``levels``.
+
+    The value stays the left operand, as in the full-array transforms, so
+    each entry takes the same rounding.  ``np.multiply`` is called rather
+    than ``*``: numpy may evaluate ``x * temporary`` in place in the
+    temporary, with the operands swapped, and on complex values a * b and
+    b * a can differ in the last bit.
+    """
+    return np.multiply(values, levels[counts])
 
 
 def to_rotating(psi: StateVector, nu: float, t: float) -> StateVector:
@@ -119,6 +142,20 @@ class _SharedByKey:
         return value
 
 
+def rotating_step(step):
+    """Adapt ``step(amps, pulse)``, which evolves rotating-frame amplitudes
+    over a pulse, to the driver's contract: the lab amplitudes go through
+    the full-array :func:`to_rotating` and :func:`from_rotating`, and the
+    frame levels the driver passes are not read."""
+
+    def framed(amps, pulse, to_rot, to_lab):
+        rot = to_rotating(StateVector(amps, time=pulse.t_start), pulse.nu, pulse.t_start)
+        evolved = StateVector(step(rot.amplitudes, pulse), time=pulse.t_end, rot_nu=pulse.nu)
+        return from_rotating(evolved, pulse.nu, pulse.t_end).amplitudes
+
+    return framed
+
+
 def _dense_step(p: ChainParams, pulses=()):
     """Exact pulse step, with one eigensystem per distinct ``(nu, Omega)``.
 
@@ -129,6 +166,7 @@ def _dense_step(p: ChainParams, pulses=()):
     check_dense_capacity(p.L)
     props = _SharedByKey((pu.nu, pu.Omega) for pu in pulses)
 
+    @rotating_step
     def step(amps: np.ndarray, pulse: Pulse) -> np.ndarray:
         prop = props.take(
             (pulse.nu, pulse.Omega),
@@ -144,11 +182,18 @@ def propagate_pulse(
 ) -> StateVector:
     """Evolve a lab-frame state through one pulse.
 
-    The state must have the chain's qubit count and its clock must sit at
-    the pulse start; either mismatch raises FrameError.  ``step(amps, pulse)``
-    evolves rotating-frame amplitudes over the pulse; it defaults to the
-    exact dense step.  Returns the lab-frame state at the pulse end;
-    norm conservation is enforced to 1e-10, and a NaN norm fails it.
+    The state must have the chain's qubit count, its clock must sit at the
+    pulse start and it must be in the lab frame; each mismatch raises
+    FrameError.  ``step(amps, pulse, to_rot, to_lab)`` takes the lab
+    amplitudes at the pulse start and returns those at its end, new
+    arrays.  It applies the frame itself: entry s enters the rotating
+    frame as ``amps[s] * to_rot[c]`` and leaves it as ``x * to_lab[c]``,
+    c the excitation count of s (:func:`frame_phase`), where ``to_rot``
+    and ``to_lab`` hold exp(-i nu t_start Sz) and exp(+i nu t_end Sz) at
+    the L + 1 levels of total spin-z.  A step on rotating-frame
+    amplitudes goes through :func:`rotating_step`.  The step defaults to
+    the exact dense step.  Norm conservation is enforced to 1e-10, and a
+    NaN norm fails it.
     """
     if step is None:
         step = _dense_step(p)
@@ -158,11 +203,10 @@ def propagate_pulse(
         raise FrameError(
             f"state clock {psi.time} does not match pulse start {pulse.t_start}"
         )
-    rot = to_rotating(psi, pulse.nu, pulse.t_start)
-    evolved = StateVector(
-        step(rot.amplitudes, pulse), time=pulse.t_end, rot_nu=pulse.nu
-    )
-    out = from_rotating(evolved, pulse.nu, pulse.t_end)
+    psi.require_lab()
+    to_rot = _frame_levels(-1j * pulse.nu * pulse.t_start, p.L)
+    to_lab = _frame_levels(1j * pulse.nu * pulse.t_end, p.L)
+    out = StateVector(step(psi.amplitudes, pulse, to_rot, to_lab), time=pulse.t_end)
     if not abs(out.norm() - 1.0) <= NORM_TOL:
         raise NumericalError(
             f"norm drifted to {out.norm():.15f} during pulse at nu={pulse.nu}"

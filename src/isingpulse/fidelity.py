@@ -13,13 +13,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .basis import StateVector, check_state_capacity, clocks_differ, ground_state
 from .errors import FrameError, NumericalError, ProtocolError
+from .exact import frame_phase, propagate_protocol, run_protocol
 # Unused frame transforms stay imported: bench/tracing.py patches them here.
-from .exact import from_rotating, propagate_protocol, run_protocol, to_rotating  # noqa: F401
+from .exact import from_rotating, to_rotating  # noqa: F401
 from .pert import (
     ORDER_BLOCK,
     _block_u,
@@ -48,47 +50,56 @@ def dynamical_fidelity(psi_i: StateVector, psi_r: StateVector) -> float:
     return float(abs(np.vdot(psi_i.amplitudes, psi_r.amplitudes)) ** 2)
 
 
+def _ideal_step(p: ChainParams, amps: np.ndarray, pulse: Pulse, to_rot, to_lab) -> np.ndarray:
+    """The ideal state's pulse step on lab amplitudes, under the driver's
+    contract (:func:`exact.propagate_pulse`): the block phases of the live
+    entries, the intended pair's transition in full, and the frame phases
+    of those entries alone."""
+    src, k = pulse.target
+    tgt = src.index ^ (1 << k)
+    mm, pp = min(src.index, tgt), max(src.index, tgt)
+    part = partition_blocks(pulse, p)
+    out = np.zeros_like(amps)
+    tau = pulse.duration
+    # Every live block contributes phases only, magnitudes kept.
+    m, q, s = _live_blocks(part, amps)
+    e_m, e_q = part.e_rot[m], part.e_rot[q]
+    u11, _, _, u22 = _block_u(pulse.Omega, e_q - e_m, tau, e_m, e_q)
+    live = np.concatenate((m, q, s))
+    phase = np.concatenate(
+        (u11 / np.abs(u11), u22 / np.abs(u22), np.exp(-1j * part.e_rot[s] * tau))
+    )
+    counts = np.bitwise_count(live)
+    x = frame_phase(amps[live], counts, to_rot)
+    out[live] = frame_phase(x * phase, counts, to_lab)
+    # The intended transition acts in full (resonant by construction).
+    d = part.e_rot[pp] - part.e_rot[mm]
+    v11, v12, v21, v22 = _block_u(pulse.Omega, d, tau, part.e_rot[mm], part.e_rot[pp])
+    ends = np.array([mm, pp])
+    counts = np.bitwise_count(ends)
+    am, ap = frame_phase(amps[ends], counts, to_rot)
+    y = np.array([v11 * am + v12 * ap, v21 * am + v22 * ap])
+    out[ends] = frame_phase(y, counts, to_lab)
+    return out
+
+
 def build_ideal_state(prot: Protocol) -> StateVector:
     """Phase-corrected two-component target of the entanglement walk.
 
     The state starts as |0...0> and each pulse's intended transition adds
     at most one nonzero amplitude, so it never holds more than
     ``len(prot.pulses) + 1`` of them.  Each step therefore evaluates the
-    block phases and singleton exponentials only for the pairs and
-    singletons that hold a nonzero amplitude; every other entry is zero
-    and stays zero.
+    block phases and singleton exponentials, and applies the frame
+    phases, only for the pairs and singletons that hold a nonzero
+    amplitude and for the intended pair; every other entry is zero and
+    stays zero.
     """
     if prot.kind != ENTANGLE_KIND or any(pu.target is None for pu in prot.pulses):
         raise ProtocolError(
             "the ideal state is defined for the built-in entanglement walk"
         )
     p = prot.params
-
-    def step(amps: np.ndarray, pulse: Pulse) -> np.ndarray:
-        src, k = pulse.target
-        tgt = src.index ^ (1 << k)
-        mm, pp = min(src.index, tgt), max(src.index, tgt)
-        part = partition_blocks(pulse, p)
-        out = amps.copy()
-        tau = pulse.duration
-        # Every live block contributes phases only, magnitudes kept.
-        m, q, s = _live_blocks(part, amps)
-        e_m, e_q = part.e_rot[m], part.e_rot[q]
-        u11, _, _, u22 = _block_u(pulse.Omega, e_q - e_m, tau, e_m, e_q)
-        out[m] = amps[m] * (u11 / np.abs(u11))
-        out[q] = amps[q] * (u22 / np.abs(u22))
-        out[s] = amps[s] * np.exp(-1j * part.e_rot[s] * tau)
-        # The intended transition acts in full (resonant by construction).
-        d = part.e_rot[pp] - part.e_rot[mm]
-        v11, v12, v21, v22 = _block_u(
-            pulse.Omega, d, tau, part.e_rot[mm], part.e_rot[pp]
-        )
-        am, ap = amps[mm], amps[pp]
-        out[mm] = v11 * am + v12 * ap
-        out[pp] = v21 * am + v22 * ap
-        return out
-
-    return propagate_protocol(ground_state(p.L), prot, step)
+    return propagate_protocol(ground_state(p.L), prot, partial(_ideal_step, p))
 
 
 @dataclass(frozen=True)

@@ -15,19 +15,22 @@ the pairs by index, so their order changes no result.  Each pair's 2x2
 block is diagonalised in closed form by a (c, s) rotation W, applied by
 gathering the pair's two amplitudes; singletons keep their diagonal
 energy.  The block step is W e^{-i eps0 tau} W^T; the pulse loop, with
-its clock check, frame transforms and norm guard, is the exact
-propagator's.
+its clock check, lab-frame check and norm guard, is the exact
+propagator's, which hands the step the lab amplitudes and the pulse's
+frame levels.
 
 The block step evaluates that form only on the pairs and singletons that
 hold a nonzero amplitude (:func:`_live_blocks`, the ideal state's rule as
-well); every other entry stays the zero that the dense form also gives.
-In the selective regime the state reaches new basis states only as the
-walk reaches new qubits: at L = 8, J = 1.945 it holds 2, 4, 8, 8, 16,
-16, ... 256 nonzero amplitudes after successive pulses, so the early
-pulses of a walk touch a small share of the basis.  Each live entry is
-computed in the dense form's expression order, so final states equal the
-dense step's bit for bit, bar the sign of zeros.  The pt1 dressing needs
-every pair, so block+pt1 still rotates the whole basis.
+well), and applies the frame phases to those entries alone, as it
+gathers and scatters them; every other entry stays the zero that the
+dense form also gives.  In the selective regime the state reaches new
+basis states only as the walk reaches new qubits: at L = 8, J = 1.945
+it holds 2, 4, 8, 8, 16, 16, ... 256 nonzero amplitudes after
+successive pulses, so the early pulses of a walk touch a small share of
+the basis.  Each live entry is computed in the expression order of the
+dense form between full-array frame transforms, so final states equal
+that form's bit for bit, bar the sign of zeros.  The pt1 dressing needs
+every pair, so block+pt1 still rotates and transforms the whole basis.
 
 The same evolution as closed-form two-level amplitudes,
 
@@ -92,7 +95,7 @@ import numpy as np
 import scipy
 
 from .basis import StateVector
-from .exact import _SharedByKey, propagate_protocol
+from .exact import _SharedByKey, frame_phase, propagate_protocol, rotating_step
 # Unused frame transforms stay imported: bench/tracing.py patches them here.
 from .exact import from_rotating, to_rotating  # noqa: F401
 from .hamiltonian import ChainParams, rotating_energy_table
@@ -371,25 +374,38 @@ def _live_blocks(part: BlockPartition, amps: np.ndarray):
     return part.m_idx[pairs], part.p_idx[pairs], part.singletons[live[part.singletons]]
 
 
-def _block_step(part: BlockPartition, Omega: float, tau: float, amps):
-    """W e^{-i eps0 tau} W^T on the live blocks of ``amps``.
+def _block_step(part: BlockPartition, Omega: float, tau: float, amps, to_rot, to_lab):
+    """W e^{-i eps0 tau} W^T on the live blocks of the lab amplitudes
+    ``amps``, inside the frame that the levels ``to_rot`` and ``to_lab``
+    enter and leave (:func:`exact.propagate_pulse`).
 
     Each live pair and singleton takes the arithmetic of the dense form
     ``_rotate(part, c, -s, exp(-i eps0 tau) _rotate(part, c, s, amps))``
-    in the same order, so its entries match that form bit for bit; every
-    other entry is the zero that the dense form also gives, bar its sign.
+    between full-array frame transforms, in the same order, so its
+    entries match that form bit for bit; every other entry is the zero
+    that the dense form also gives, bar its sign.
     """
     m, p, single = _live_blocks(part, amps)
+    # A pair's p state holds one more excitation than its m state.
+    cm = np.bitwise_count(m)
+    cp = cm + 1
     eps_m, eps_p, c, s = _pair_eigen(Omega, part.e_rot[m], part.e_rot[p])
-    ym, yp = _turn(c, s, amps[m], amps[p])
+    ym, yp = _turn(
+        c, s, frame_phase(amps[m], cm, to_rot), frame_phase(amps[p], cp, to_rot)
+    )
     ym = np.exp(-1j * eps_m * tau) * ym
     yp = np.exp(-1j * eps_p * tau) * yp
     # Every temporary of a pulse is 2^(L-1) entries long when all pairs
     # are live: free these before the output is allocated.
     del eps_m, eps_p
+    zm, zp = _turn(c, -s, ym, yp)
+    del ym, yp
     out = np.zeros_like(amps)
-    out[m], out[p] = _turn(c, -s, ym, yp)
-    out[single] = np.exp(-1j * part.e_rot[single] * tau) * amps[single]
+    out[m] = frame_phase(zm, cm, to_lab)
+    out[p] = frame_phase(zp, cp, to_lab)
+    cs = np.bitwise_count(single)
+    x = frame_phase(amps[single], cs, to_rot)
+    out[single] = frame_phase(np.exp(-1j * part.e_rot[single] * tau) * x, cs, to_lab)
     return out
 
 
@@ -537,14 +553,16 @@ def run_protocol_pert(
     degeneracy_tol = 1e-9 * max(p.a, 1.0)
     factors = _SharedByKey((pu.nu, pu.Omega) for pu in prot.pulses)
 
-    def step(amps: np.ndarray, pulse: Pulse) -> np.ndarray:
+    def block_step(amps: np.ndarray, pulse: Pulse, to_rot, to_lab) -> np.ndarray:
         part = partition_blocks(pulse, p)
-        tau = pulse.duration
-        if order == ORDER_BLOCK:
-            return _block_step(part, pulse.Omega, tau, amps)
+        return _block_step(part, pulse.Omega, pulse.duration, amps, to_rot, to_lab)
+
+    @rotating_step
+    def pt1_step(amps: np.ndarray, pulse: Pulse) -> np.ndarray:
+        part = partition_blocks(pulse, p)
         eps, c, s, a = _pt1_dressing(part, pulse.Omega, degeneracy_tol)
         factor = partial(factors.take, (pulse.nu, pulse.Omega), _cayley_factor)
-        out = _apply_pt1(_rotate(part, c, s, amps), eps, tau, a, factor)
+        out = _apply_pt1(_rotate(part, c, s, amps), eps, pulse.duration, a, factor)
         return _rotate(part, c, -s, out)
 
-    return propagate_protocol(psi0, prot, step)
+    return propagate_protocol(psi0, prot, block_step if order == ORDER_BLOCK else pt1_step)

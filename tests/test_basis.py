@@ -18,6 +18,7 @@ from isingpulse import (
     spin_z,
 )
 from isingpulse.basis import clocks_differ, total_spin_z
+from isingpulse.exact import rotating_step
 from isingpulse.protocol import Protocol
 
 
@@ -177,12 +178,12 @@ def test_one_clock_tolerance_judges_every_clock(monkeypatch):
     early = StateVector(ground_state(3).amplitudes, time=1e-12)
     # Within the tolerance of zero, every check accepts the 1e-12 offset.
     Protocol(pulses=(pulse,), params=p)
-    propagate_pulse(ground_state(3), pulse, p, step=lambda amps, _: amps)
+    propagate_pulse(ground_state(3), pulse, p, step=rotating_step(lambda amps, _: amps))
     dynamical_fidelity(early, ground_state(3))
     monkeypatch.setattr(basis, "CLOCK_TOL", 0.0)
     with pytest.raises(ProtocolError):
         Protocol(pulses=(pulse,), params=p)
     with pytest.raises(FrameError):
-        propagate_pulse(ground_state(3), pulse, p, step=lambda amps, _: amps)
+        propagate_pulse(ground_state(3), pulse, p, step=rotating_step(lambda amps, _: amps))
     with pytest.raises(FrameError):
         dynamical_fidelity(early, ground_state(3))

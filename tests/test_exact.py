@@ -1,5 +1,6 @@
 import math
 import weakref
+from functools import partial
 
 import numpy as np
 import pytest
@@ -24,9 +25,10 @@ from isingpulse import (
     run_protocol_pert,
     to_rotating,
 )
-from isingpulse import exact
-from isingpulse.exact import PulsePropagator, propagate_protocol
+from isingpulse import exact, fidelity
+from isingpulse.exact import PulsePropagator, propagate_protocol, rotating_step
 from isingpulse.hamiltonian import RotFrameHam
+from isingpulse.pert import _block_step, partition_blocks
 
 from chain_helpers import total_spin_z
 
@@ -234,12 +236,68 @@ def test_state_with_wrong_qubit_count_is_refused(run):
         run(ground_state(3), prot)
 
 
+ROUTES = {
+    "exact": run_protocol,
+    "block": lambda psi, prot: run_protocol_pert(psi, prot, "block"),
+    "block+pt1": lambda psi, prot: run_protocol_pert(psi, prot, "block+pt1"),
+    "ideal": lambda psi, prot: propagate_protocol(
+        psi, prot, partial(fidelity._ideal_step, prot.params)
+    ),
+}
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_every_route_refuses_a_rotating_state_and_a_stale_or_nan_clock(route):
+    # Each step applies the frame itself, so the driver alone stands
+    # between it and a state that is not in the lab frame at the pulse
+    # start.
+    prot = build_entanglement_protocol(ChainParams(L=4, a=100.0, J=1.945), 0.118)
+    amps = ground_state(4).amplitudes
+    for psi, match in (
+        (StateVector(amps, rot_nu=prot.pulses[0].nu), "expected lab-frame state"),
+        (StateVector(amps, time=prot.pulses[1].t_start), "does not match pulse start"),
+        (StateVector(amps, time=math.nan), "state clock nan"),
+    ):
+        with pytest.raises(FrameError, match=match):
+            ROUTES[route](psi, prot)
+
+
+@pytest.mark.parametrize("L", [16, 18])
+def test_frame_at_the_gather_equals_full_array_transforms(L):
+    # Past 2^14 entries numpy may evaluate ``x * temporary`` in place in
+    # the temporary, with the operands swapped, which can move the last
+    # bit of a complex product; the block step's live pairs reach that
+    # size at L = 16.  The references run the same steps on rotating-frame
+    # amplitudes between the full-array transforms, with unit frame
+    # levels, a product that is exact.
+    p = ChainParams(L=L, a=100.0, J=1.945)
+    prot = build_entanglement_protocol(p, 0.118)
+    one = np.ones(L + 1, dtype=complex)
+
+    @rotating_step
+    def block(amps, pulse):
+        part = partition_blocks(pulse, p)
+        return _block_step(part, pulse.Omega, pulse.duration, amps, one, one)
+
+    @rotating_step
+    def ideal(amps, pulse):
+        return fidelity._ideal_step(p, amps, pulse, one, one)
+
+    got = run_protocol_pert(ground_state(L), prot, "block").amplitudes
+    want = propagate_protocol(ground_state(L), prot, block).amplitudes
+    assert np.array_equal(got, want)
+    got = build_ideal_state(prot).amplitudes
+    want = propagate_protocol(ground_state(L), prot, ideal).amplitudes
+    assert np.array_equal(got, want)
+
+
 def test_norm_guard_rejects_nan_amplitudes():
     # abs(nan - 1) > tol is False, so the guard has to be written to fail
     # on NaN.
     p = ChainParams(L=3, a=1.0)
     pu = Pulse(nu=1.0, Omega=0.1, duration=1.0, t_start=0.0)
 
+    @rotating_step
     def step(amps, pulse):
         return np.full_like(amps, np.nan)
 
@@ -387,6 +445,7 @@ def _reference_step(p):
     cache keyed by the float (nu, Omega), applied in complex."""
     cache = {}
 
+    @rotating_step
     def step(amps, pulse):
         key = (pulse.nu, pulse.Omega)
         if key not in cache:

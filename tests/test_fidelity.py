@@ -22,7 +22,7 @@ from isingpulse import (
     two_pi_k_omega,
 )
 from isingpulse import fidelity
-from isingpulse.exact import propagate_protocol
+from isingpulse.exact import propagate_protocol, rotating_step
 from isingpulse.pert import _block_u, partition_blocks
 from isingpulse.protocol import Protocol
 
@@ -91,6 +91,7 @@ def _reference_ideal_state(prot):
     every block, then the unit phase of u11 and u22 through np.angle."""
     p = prot.params
 
+    @rotating_step
     def step(amps, pulse):
         src, k = pulse.target
         tgt = src.index ^ (1 << k)
@@ -133,6 +134,7 @@ def _all_blocks_ideal_state(prot):
     evaluated, zero amplitudes included."""
     p = prot.params
 
+    @rotating_step
     def step(amps, pulse):
         src, k = pulse.target
         tgt = src.index ^ (1 << k)

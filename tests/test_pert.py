@@ -27,7 +27,7 @@ from isingpulse import (
     two_pi_k_omega,
 )
 from isingpulse import pert as pert_module
-from isingpulse.exact import propagate_protocol, propagate_pulse
+from isingpulse.exact import propagate_protocol, propagate_pulse, rotating_step
 from isingpulse.hamiltonian import rotating_energy_table
 from isingpulse.pert import (
     ORDER_BLOCK_PT1,
@@ -491,6 +491,7 @@ def _closed_form_block_run(prot):
     diagonal phase."""
     p = prot.params
 
+    @rotating_step
     def step(amps, pulse):
         part = partition_blocks(pulse, p)
         tau = pulse.duration
@@ -533,6 +534,7 @@ def _dense_block_run(psi0, prot):
     pair and singleton, whether or not it holds amplitude."""
     p = prot.params
 
+    @rotating_step
     def step(amps, pulse):
         part = partition_blocks(pulse, p)
         eps0, c, s = _block_rotation(part, pulse.Omega)
@@ -850,6 +852,7 @@ def _unshared_pt1_step(p):
     """The block+pt1 step with a Cayley factor of its own for every pulse."""
     tol = 1e-9 * max(p.a, 1.0)
 
+    @rotating_step
     def step(amps, pulse):
         part = partition_blocks(pulse, p)
         eps, c, s, a = _pt1_dressing(part, pulse.Omega, tol)
