@@ -12,7 +12,6 @@ from .basis import (
     flip,
     format_state_table,
     ground_state,
-    spin_z,
 )
 from .errors import (
     CapacityError,
@@ -37,7 +36,6 @@ from .hamiltonian import (
 from .pert import (
     BlockPartition,
     epsilon_param,
-    eta_param,
     partition_blocks,
     run_protocol_pert,
 )
@@ -46,7 +44,6 @@ from .protocol import (
     Pulse,
     build_entanglement_protocol,
     format_protocol_table,
-    resonance_frequency,
     spectator_detunings,
     two_pi_k_omega,
     validate_selective,
@@ -73,7 +70,6 @@ __all__ = [
     "chaos_border",
     "dynamical_fidelity",
     "epsilon_param",
-    "eta_param",
     "flip",
     "format_protocol_table",
     "format_state_table",
@@ -83,11 +79,9 @@ __all__ = [
     "partition_blocks",
     "propagate_pulse",
     "protocol_fidelity",
-    "resonance_frequency",
     "run_protocol",
     "run_protocol_pert",
     "spectator_detunings",
-    "spin_z",
     "to_rotating",
     "two_pi_k_omega",
     "validate_selective",

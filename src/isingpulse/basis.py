@@ -59,11 +59,6 @@ class BasisState:
         return "".join(str(self.bit(k)) for k in range(self.L))
 
 
-def spin_z(s: BasisState, k: int) -> float:
-    """Spin-z eigenvalue of qubit k: +1/2 for bit 0 (ground), -1/2 for bit 1."""
-    return 0.5 - s.bit(k)
-
-
 def flip(s: BasisState, k: int) -> BasisState:
     """Basis state with qubit k flipped; involution on the basis."""
     if not 0 <= k < s.L:

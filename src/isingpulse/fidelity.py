@@ -22,13 +22,7 @@ from .errors import FrameError, NumericalError, ProtocolError
 from .exact import frame_phase, propagate_protocol, run_protocol
 # Unused frame transforms stay imported: bench/tracing.py patches them here.
 from .exact import from_rotating, to_rotating  # noqa: F401
-from .pert import (
-    ORDER_BLOCK,
-    _block_u,
-    _live_blocks,
-    partition_blocks,
-    run_protocol_pert,
-)
+from .pert import ORDER_BLOCK, _block_u, partition_blocks, run_protocol_pert
 from .protocol import (
     ENTANGLE_KIND,
     Protocol,
@@ -52,17 +46,17 @@ def dynamical_fidelity(psi_i: StateVector, psi_r: StateVector) -> float:
 
 def _ideal_step(p: ChainParams, amps: np.ndarray, pulse: Pulse, to_rot, to_lab) -> np.ndarray:
     """The ideal state's pulse step on lab amplitudes, under the driver's
-    contract (:func:`exact.propagate_pulse`): the block phases of the live
-    entries, the intended pair's transition in full, and the frame phases
-    of those entries alone."""
+    contract (:func:`exact.propagate_pulse`): the block phases of the
+    blocks that hold amplitude, the intended pair's transition in full,
+    and the frame phases of those entries alone."""
     src, k = pulse.target
     tgt = src.index ^ (1 << k)
     mm, pp = min(src.index, tgt), max(src.index, tgt)
-    part = partition_blocks(pulse, p)
+    part = partition_blocks(pulse, p, np.flatnonzero(amps != 0))
     out = np.zeros_like(amps)
     tau = pulse.duration
     # Every live block contributes phases only, magnitudes kept.
-    m, q, s = _live_blocks(part, amps)
+    m, q, s = part.m_idx, part.p_idx, part.singletons
     e_m, e_q = part.e_rot[m], part.e_rot[q]
     u11, _, _, u22 = _block_u(pulse.Omega, e_q - e_m, tau, e_m, e_q)
     live = np.concatenate((m, q, s))
@@ -88,11 +82,11 @@ def build_ideal_state(prot: Protocol) -> StateVector:
 
     The state starts as |0...0> and each pulse's intended transition adds
     at most one nonzero amplitude, so it never holds more than
-    ``len(prot.pulses) + 1`` of them.  Each step therefore evaluates the
-    block phases and singleton exponentials, and applies the frame
-    phases, only for the pairs and singletons that hold a nonzero
-    amplitude and for the intended pair; every other entry is zero and
-    stays zero.
+    ``len(prot.pulses) + 1`` of them.  Each step therefore asks
+    :func:`partition_blocks` for the blocks that hold a nonzero amplitude
+    alone, and evaluates the block phases and singleton exponentials, and
+    applies the frame phases, only for those blocks and the intended
+    pair; every other entry is zero and stays zero.
     """
     if prot.kind != ENTANGLE_KIND or any(pu.target is None for pu in prot.pulses):
         raise ProtocolError(

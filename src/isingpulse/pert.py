@@ -20,17 +20,20 @@ propagator's, which hands the step the lab amplitudes and the pulse's
 frame levels.
 
 The block step evaluates that form only on the pairs and singletons that
-hold a nonzero amplitude (:func:`_live_blocks`, the ideal state's rule as
-well), and applies the frame phases to those entries alone, as it
-gathers and scatters them; every other entry stays the zero that the
-dense form also gives.  In the selective regime the state reaches new
-basis states only as the walk reaches new qubits: at L = 8, J = 1.945
-it holds 2, 4, 8, 8, 16, 16, ... 256 nonzero amplitudes after
-successive pulses, so the early pulses of a walk touch a small share of
-the basis.  Each live entry is computed in the expression order of the
-dense form between full-array frame transforms, so final states equal
-that form's bit for bit, bar the sign of zeros.  The pt1 dressing needs
-every pair, so block+pt1 still rotates and transforms the whole basis.
+hold a nonzero amplitude, and applies the frame phases to those entries
+alone, as it gathers and scatters them; every other entry stays the zero
+that the dense form also gives.  It asks :func:`partition_blocks` for
+just those blocks (the ``live`` argument), as the ideal state does.  On a
+walk pulse the partition then pairs only the live states with their flips
+of the one qubit in reach, and never builds the other pairs.  In the
+selective regime the state reaches new basis states only as the walk
+reaches new qubits: at L = 8, J = 1.945 it holds 2, 4, 8, 8, 16, 16,
+... 256 nonzero amplitudes after successive pulses, so the early pulses
+of a walk touch a small share of the basis.  Each live entry is computed
+in the expression order of the dense form between full-array frame
+transforms, so final states equal that form's bit for bit, bar the sign
+of zeros.  The pt1 dressing needs every pair, so block+pt1 still
+partitions, rotates and transforms the whole basis.
 
 The same evolution as closed-form two-level amplitudes,
 
@@ -127,13 +130,6 @@ def epsilon_param(Omega: float, Delta: float, tau: float) -> float:
     return (Omega * Omega / lam2) * np.sin(0.5 * tau * np.sqrt(lam2)) ** 2
 
 
-def eta_param(Omega: float, a: float) -> float:
-    """Non-resonant transition probability Omega^2 / (4 a^2)."""
-    if not a > 0:
-        raise ValueError(f"frequency step a must be positive, got {a}")
-    return Omega * Omega / (4.0 * a * a)
-
-
 def _block_u(Omega, Delta, tau, e_m, e_p):
     """Elementwise 2x2 unitaries for arrays of blocks (lab or rotating,
     depending on which energies are passed in).  Returns (u11, u12, u21, u22).
@@ -158,15 +154,18 @@ def _block_u(Omega, Delta, tau, e_m, e_p):
 
 @dataclass(frozen=True)
 class BlockPartition:
-    """Partition of the basis into two-level pairs and singletons.
+    """Partition of the basis into two-level pairs and singletons, or the
+    blocks of one that hold a given set of live states.
 
     Array view: a pair is two indices into ``e_rot``, the rotating-frame
     energies of all 2^L states: ``m_idx`` (the state with the flipped bit
-    clear) in strictly ascending order and ``p_idx``.  ``singletons`` lists
-    the leftover states in ascending order.  ``n_conflicts`` counts states
-    whose closest in-threshold partner ended up paired elsewhere (resolved
-    by the greedy matching, the one place where pairs are ordered by
-    |delta|).  ``delta`` is derived from ``e_rot`` on each read.
+    clear) in strictly ascending order and ``p_idx``.  A pair's detuning
+    is ``e_rot[p_idx] - e_rot[m_idx]``.  ``singletons`` lists the leftover
+    states in ascending order.  ``n_conflicts`` counts states whose
+    closest in-threshold partner ended up paired elsewhere (resolved by
+    the greedy matching, the one place where pairs are ordered by
+    |delta|); it is the whole partition's count, with live states or
+    without.
     """
 
     L: int
@@ -175,11 +174,6 @@ class BlockPartition:
     singletons: np.ndarray
     e_rot: np.ndarray
     n_conflicts: int
-
-    @property
-    def delta(self) -> np.ndarray:
-        """Rotating-frame detuning of each pair, e_rot[p] - e_rot[m]."""
-        return self.e_rot[self.p_idx] - self.e_rot[self.m_idx]
 
 
 def _greedy_matching(order, cand_m, cand_p):
@@ -239,24 +233,33 @@ def _reach(p: ChainParams, nu: float) -> list[int]:
     return [k for k, w in enumerate(omegas) if abs(w - nu) <= reach]
 
 
-def _flip_candidates(e_rot, k, threshold):
+def _flip_candidates(e_rot, k, threshold, live=None):
     """The in-threshold flips of qubit k as (m, p) in ascending m, where m
-    has bit k clear and p = m ^ 2^k."""
+    has bit k clear and p = m ^ 2^k; given the states ``live``, only the
+    flips that hold one of them."""
     bit = 1 << k
-    # Axis 1 of this view is bit k: [:, 0] holds the states with it clear,
-    # in ascending order, and [:, 1] their flip partners.
-    shape = (len(e_rot) >> (k + 1), 2, bit)
-    e = e_rot.reshape(shape)
-    d_lo = e[:, 1] - e[:, 0]
-    keep = np.abs(d_lo) <= threshold
-    clear = np.zeros(shape, dtype=bool)
-    clear[:, 0] = keep
+    if live is None:
+        # Axis 1 of this view is bit k: [:, 0] holds the states with it
+        # clear, in ascending order, and [:, 1] their flip partners.
+        shape = (len(e_rot) >> (k + 1), 2, bit)
+        e = e_rot.reshape(shape)
+        keep = np.abs(e[:, 1] - e[:, 0]) <= threshold
+        clear = np.zeros(shape, dtype=bool)
+        clear[:, 0] = keep
+    else:
+        lo = live & ~bit
+        keep = np.abs(e_rot[lo | bit] - e_rot[lo]) <= threshold
+        # A live state and its live partner give the same m once.
+        clear = np.zeros(len(e_rot), dtype=bool)
+        clear[lo[keep]] = True
     lo = np.flatnonzero(clear)
     return lo, lo ^ bit
 
 
-def partition_blocks(pulse: Pulse, p: ChainParams) -> BlockPartition:
-    """Pair every basis state with its closest single-flip partner.
+def partition_blocks(pulse: Pulse, p: ChainParams, live=None) -> BlockPartition:
+    """Pair every basis state with its closest single-flip partner, or,
+    given the ascending states ``live``, return only the blocks that hold
+    one of them: the pairs whose m or p is live and the live singletons.
 
     Candidate pairs are the single-flip pairs whose rotating-frame detuning
     has magnitude at most :func:`default_threshold` (a/2).  Only the qubits
@@ -264,22 +267,31 @@ def partition_blocks(pulse: Pulse, p: ChainParams) -> BlockPartition:
     none when nu is far from every site frequency, so a call costs O(2^L)
     and needs no sort.  Pairs come in ascending ``m_idx``.
 
-    One qubit's candidates already come in that order and share no state.
-    With two or more qubits in reach the candidates still form a matching
-    in the selective regime (no state in two of them), and all of them are
-    taken with ``n_conflicts`` 0.  Only when some state has two candidates
-    are they matched greedily in order of increasing |detuning|, ties
-    broken by state indices, a state keeping its best partner that is
-    still free.  Then ``n_conflicts`` counts the in-threshold states that
-    lost their closest candidate and fell through to their next candidate
-    or a singleton.  Flips outside the threshold take no part in that
-    count: they cannot put a state in threshold, nor tie with an
-    in-threshold |detuning|.  Either way the pairs are then sorted by m.
+    One qubit's candidates already come in that order and share no state,
+    so each state has at most one candidate, its flip of that qubit.
+    With ``live`` the partition then reads the table only at the live
+    states and their flips.  With two or more qubits in reach the
+    candidates still form a matching in the selective regime (no state in
+    two of them), and all of them are taken with ``n_conflicts`` 0.  Only
+    when some state has two candidates are they matched greedily in order
+    of increasing |detuning|, ties broken by state indices, a state
+    keeping its best partner that is still free.  Then ``n_conflicts``
+    counts the in-threshold states that lost their closest candidate and
+    fell through to their next candidate or a singleton.  Flips outside
+    the threshold take no part in that count: they cannot put a state in
+    threshold, nor tie with an in-threshold |detuning|.  Either way the
+    pairs are then sorted by m, and with ``live`` the live blocks are
+    selected from the whole partition.  ``e_rot`` is the whole table
+    either way.
     """
     threshold = default_threshold(p)
     L, n = p.L, 1 << p.L
     e_rot = rotating_energy_table(p, pulse.nu)
-    cands = [_flip_candidates(e_rot, k, threshold) for k in _reach(p, pulse.nu)]
+    reach = _reach(p, pulse.nu)
+    # One qubit's candidates form a matching, so each live state's own
+    # flip decides its block; otherwise the live blocks are selected below.
+    local = live if len(reach) == 1 else None
+    cands = [_flip_candidates(e_rot, k, threshold, local) for k in reach]
 
     n_conflicts = 0
     if not cands:
@@ -296,13 +308,18 @@ def partition_blocks(pulse: Pulse, p: ChainParams) -> BlockPartition:
         order = np.argsort(m_idx)
         m_idx, p_idx = m_idx[order], p_idx[order]
 
+    if live is not None and local is None:
+        held = np.zeros(n, dtype=bool)
+        held[live] = True
+        held = held[m_idx] | held[p_idx]
+        m_idx, p_idx = m_idx[held], p_idx[held]
     taken = np.zeros(n, dtype=bool)
     taken[m_idx] = taken[p_idx] = True
     return BlockPartition(
         L=L,
         m_idx=m_idx,
         p_idx=p_idx,
-        singletons=np.flatnonzero(~taken),
+        singletons=np.flatnonzero(~taken) if live is None else live[~taken[live]],
         e_rot=e_rot,
         n_conflicts=n_conflicts,
     )
@@ -362,30 +379,19 @@ def _rotate(part: BlockPartition, c, s, x):
     return out
 
 
-def _live_blocks(part: BlockPartition, amps: np.ndarray):
-    """The pairs and singletons of ``part`` that hold a nonzero entry of
-    ``amps``: the live pairs' ``m`` and ``p`` states (views of the
-    partition's arrays when every pair is live, so that nothing is copied)
-    and the live singleton states.  A block outside them maps zero
-    amplitudes to zero."""
-    live = amps != 0
-    pairs = live[part.m_idx] | live[part.p_idx]
-    pairs = slice(None) if pairs.all() else pairs
-    return part.m_idx[pairs], part.p_idx[pairs], part.singletons[live[part.singletons]]
-
-
 def _block_step(part: BlockPartition, Omega: float, tau: float, amps, to_rot, to_lab):
-    """W e^{-i eps0 tau} W^T on the live blocks of the lab amplitudes
-    ``amps``, inside the frame that the levels ``to_rot`` and ``to_lab``
-    enter and leave (:func:`exact.propagate_pulse`).
+    """W e^{-i eps0 tau} W^T on the pairs and singletons of ``part``, from
+    the lab amplitudes ``amps``, inside the frame that the levels
+    ``to_rot`` and ``to_lab`` enter and leave (:func:`exact.propagate_pulse`).
 
-    Each live pair and singleton takes the arithmetic of the dense form
+    Each pair and singleton takes the arithmetic of the dense form
     ``_rotate(part, c, -s, exp(-i eps0 tau) _rotate(part, c, s, amps))``
     between full-array frame transforms, in the same order, so its
-    entries match that form bit for bit; every other entry is the zero
-    that the dense form also gives, bar its sign.
+    entries match that form bit for bit.  Every entry outside ``part`` is
+    returned zero: given the live blocks, that is the zero the dense form
+    also gives, bar its sign.
     """
-    m, p, single = _live_blocks(part, amps)
+    m, p, single = part.m_idx, part.p_idx, part.singletons
     # A pair's p state holds one more excitation than its m state.
     cm = np.bitwise_count(m)
     cp = cm + 1
@@ -554,7 +560,7 @@ def run_protocol_pert(
     factors = _SharedByKey((pu.nu, pu.Omega) for pu in prot.pulses)
 
     def block_step(amps: np.ndarray, pulse: Pulse, to_rot, to_lab) -> np.ndarray:
-        part = partition_blocks(pulse, p)
+        part = partition_blocks(pulse, p, np.flatnonzero(amps != 0))
         return _block_step(part, pulse.Omega, pulse.duration, amps, to_rot, to_lab)
 
     @rotating_step

@@ -114,20 +114,6 @@ def _canonical_pair(s: BasisState, k: int) -> tuple[int, int]:
     return src.index, flip(src, k).index
 
 
-def resonance_frequency(s: BasisState, k: int, p: ChainParams) -> float:
-    """Drive frequency resonant with flipping qubit k of state s.
-
-    The exact |E0(flip(s,k)) - E0(s)|, taken on the transition's canonical
-    pair (:func:`_canonical_pair`); no closed-form shortcut, so the pulse
-    stays resonant even when Ising shifts move the transition.  The absolute
-    value only helps while the transition energy is positive: for a
-    negative-energy transition the drive at |dE| is detuned from it by
-    2|dE| and is resonant instead with any transition of energy +|dE|.
-    """
-    e_src, e_dst = h0_energy_table(p, _canonical_pair(s, k))
-    return float(abs(e_dst - e_src))
-
-
 def check_drive(Omega: float) -> None:
     """Raise ValueError unless the Rabi frequency is positive (a NaN fails)."""
     if not Omega > 0:
@@ -155,8 +141,14 @@ def build_entanglement_protocol(
     remaining 2L-3 last pi/Omega (full population transfer).  ``mirror``
     runs the walk from the other end of the chain.  The target state is the
     same either way provided every intended transition energy is positive,
-    so that each pulse is resonant with its own target (see
-    :func:`resonance_frequency`).  The walk from qubit 0 needs
+    so that each pulse is resonant with its own target.  Each pulse is
+    tuned to the exact |E0(target) - E0(source)| of its transition's
+    canonical pair (:func:`_canonical_pair`), with no closed-form
+    shortcut, so it stays resonant even when Ising shifts move the
+    transition.  The absolute value only helps while the transition
+    energy is positive: for a negative-energy transition the drive at |dE|
+    is detuned from it by 2|dE| and is resonant instead with any
+    transition of energy +|dE|.  The walk from qubit 0 needs
     J < (omega0 + a)/2 for its 4J pulse.  The mirror walk turns qubit 0 on
     next to an excited neighbour at energy omega0 - J, so it needs
     omega0 > J, and J < (omega0 + a*(L-2))/2 for its 4J pulse.
@@ -170,8 +162,8 @@ def build_entanglement_protocol(
     check_drive(Omega)
     order = _walk_order(p.L, mirror)
     path = list(accumulate(order, flip, initial=BasisState(0, p.L)))
-    # Pulse i is tuned as resonance_frequency(path[i], k) is, on its
-    # transition's canonical pair; one vectorised call gives every energy.
+    # Pulse i is tuned on the canonical pair of flipping qubit k of
+    # path[i]; one vectorised call gives every energy.
     energies = h0_energy_table(p, [_canonical_pair(path[i], k) for i, k in enumerate(order)])
     pulses = []
     t = 0.0

@@ -1,16 +1,25 @@
-"""Reference quantities the tests check the package against.
+"""Reference quantities and steps the tests check the package against.
 
-The package does not compute these itself; each is written here from its
-definition.
+The package does not compute the quantities itself; each is written here
+from its definition.  The reference steps select the live blocks from the
+whole partition, the form the package's steps replaced.
 """
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
 
 from isingpulse import BasisState, ChainParams, h0_energy_table
+from isingpulse.exact import frame_phase
 from isingpulse.hamiltonian import RotFrameHam
-from isingpulse.protocol import Protocol
+from isingpulse.pert import BlockPartition, _block_step, _block_u, partition_blocks
+from isingpulse.protocol import Protocol, _canonical_pair
+
+
+def spin_z(s: BasisState, k: int) -> float:
+    """Spin-z eigenvalue of qubit k: +1/2 for bit 0 (ground), -1/2 for bit 1."""
+    return 0.5 - s.bit(k)
 
 
 def spin_z_columns(L: int) -> list[np.ndarray]:
@@ -33,6 +42,75 @@ def single_flip_deltas(s: BasisState, p: ChainParams) -> list[tuple[int, float]]
     """
     e = h0_energy_table(p, [s.index] + [s.index ^ (1 << k) for k in range(p.L)])
     return [(k, float(abs(e[1 + k] - e[0]))) for k in range(p.L)]
+
+
+def resonance_frequency(s: BasisState, k: int, p: ChainParams) -> float:
+    """Drive frequency resonant with flipping qubit k of state s: the exact
+    |E0(flip) - E0(source)| of the transition's canonical pair, the pair
+    whose energies tune every pulse of that transition."""
+    e_src, e_dst = h0_energy_table(p, _canonical_pair(s, k))
+    return float(abs(e_dst - e_src))
+
+
+def eta_param(Omega: float, a: float) -> float:
+    """Non-resonant transition probability Omega^2 / (4 a^2)."""
+    if not a > 0:
+        raise ValueError(f"frequency step a must be positive, got {a}")
+    return Omega * Omega / (4.0 * a * a)
+
+
+def pair_delta(part: BlockPartition) -> np.ndarray:
+    """Rotating-frame detuning of each pair, e_rot[p] - e_rot[m]."""
+    return part.e_rot[part.p_idx] - part.e_rot[part.m_idx]
+
+
+def live_blocks(part: BlockPartition, amps: np.ndarray) -> BlockPartition:
+    """The pairs and singletons of a whole partition that hold a nonzero
+    entry of ``amps``, selected by masks over every block."""
+    live = amps != 0
+    pairs = live[part.m_idx] | live[part.p_idx]
+    return dataclasses.replace(
+        part,
+        m_idx=part.m_idx[pairs],
+        p_idx=part.p_idx[pairs],
+        singletons=part.singletons[live[part.singletons]],
+    )
+
+
+def reference_block_step(p: ChainParams, amps, pulse, to_rot, to_lab):
+    """The block route's step on the live blocks of the whole partition."""
+    part = live_blocks(partition_blocks(pulse, p), amps)
+    return _block_step(part, pulse.Omega, pulse.duration, amps, to_rot, to_lab)
+
+
+def reference_ideal_step(p: ChainParams, amps, pulse, to_rot, to_lab):
+    """The ideal state's step on the live blocks of the whole partition:
+    the block phases of those blocks, then the intended pair's transition
+    in full, each entry framed where it is gathered."""
+    src, k = pulse.target
+    tgt = src.index ^ (1 << k)
+    mm, pp = min(src.index, tgt), max(src.index, tgt)
+    part = live_blocks(partition_blocks(pulse, p), amps)
+    out = np.zeros_like(amps)
+    tau = pulse.duration
+    m, q, s = part.m_idx, part.p_idx, part.singletons
+    e_m, e_q = part.e_rot[m], part.e_rot[q]
+    u11, _, _, u22 = _block_u(pulse.Omega, e_q - e_m, tau, e_m, e_q)
+    live = np.concatenate((m, q, s))
+    phase = np.concatenate(
+        (u11 / np.abs(u11), u22 / np.abs(u22), np.exp(-1j * part.e_rot[s] * tau))
+    )
+    counts = np.bitwise_count(live)
+    x = frame_phase(amps[live], counts, to_rot)
+    out[live] = frame_phase(x * phase, counts, to_lab)
+    d = part.e_rot[pp] - part.e_rot[mm]
+    v11, v12, v21, v22 = _block_u(pulse.Omega, d, tau, part.e_rot[mm], part.e_rot[pp])
+    ends = np.array([mm, pp])
+    counts = np.bitwise_count(ends)
+    am, ap = frame_phase(amps[ends], counts, to_rot)
+    y = np.array([v11 * am + v12 * ap, v21 * am + v22 * ap])
+    out[ends] = frame_phase(y, counts, to_lab)
+    return out
 
 
 def protocol_target_index(prot: Protocol) -> int:

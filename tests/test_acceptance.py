@@ -22,11 +22,9 @@ from isingpulse import (
     build_ideal_state,
     chaos_border,
     dynamical_fidelity,
-    eta_param,
     ground_state,
     propagate_pulse,
     protocol_fidelity,
-    resonance_frequency,
     run_protocol,
     run_protocol_pert,
     two_pi_k_omega,
@@ -36,6 +34,8 @@ from isingpulse.cli import main as cli_main
 from isingpulse.hamiltonian import rotating_energy_table
 from isingpulse.pert import ORDER_BLOCK_PT1, _block_u
 from isingpulse.protocol import Pulse
+
+from chain_helpers import eta_param, resonance_frequency
 
 A_REF = 100.0
 OMEGA_REF = 0.118

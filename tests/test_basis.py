@@ -15,11 +15,12 @@ from isingpulse import (
     format_state_table,
     ground_state,
     propagate_pulse,
-    spin_z,
 )
 from isingpulse.basis import clocks_differ, total_spin_z
 from isingpulse.exact import rotating_step
 from isingpulse.protocol import Protocol
+
+from chain_helpers import spin_z
 
 
 def test_spin_z_all_ground():

@@ -20,7 +20,6 @@ from isingpulse import (
     from_rotating,
     ground_state,
     propagate_pulse,
-    resonance_frequency,
     run_protocol,
     run_protocol_pert,
     to_rotating,
@@ -30,7 +29,7 @@ from isingpulse.exact import PulsePropagator, propagate_protocol, rotating_step
 from isingpulse.hamiltonian import RotFrameHam
 from isingpulse.pert import _block_step, partition_blocks
 
-from chain_helpers import total_spin_z
+from chain_helpers import resonance_frequency, total_spin_z
 
 
 def _unitarity_defect(prop, tau, n_samples=8):

@@ -14,7 +14,6 @@ from isingpulse import (
     build_ideal_state,
     dynamical_fidelity,
     epsilon_param,
-    eta_param,
     ground_state,
     protocol_fidelity,
     run_protocol,
@@ -26,7 +25,7 @@ from isingpulse.exact import propagate_protocol, rotating_step
 from isingpulse.pert import _block_u, partition_blocks
 from isingpulse.protocol import Protocol
 
-from chain_helpers import protocol_target_index
+from chain_helpers import eta_param, pair_delta, protocol_target_index
 
 P6 = ChainParams(L=6, omega0=0.0, a=100.0, J=1.0)
 
@@ -100,7 +99,7 @@ def _reference_ideal_state(prot):
         out = amps.copy()
         tau = pulse.duration
         u11, _, _, u22 = _block_u(
-            pulse.Omega, part.delta, tau, part.e_rot[part.m_idx], part.e_rot[part.p_idx]
+            pulse.Omega, pair_delta(part), tau, part.e_rot[part.m_idx], part.e_rot[part.p_idx]
         )
         out[part.m_idx] = amps[part.m_idx] * np.exp(1j * np.angle(u11))
         out[part.p_idx] = amps[part.p_idx] * np.exp(1j * np.angle(u22))
@@ -143,7 +142,7 @@ def _all_blocks_ideal_state(prot):
         out = amps.copy()
         tau = pulse.duration
         u11, _, _, u22 = _block_u(
-            pulse.Omega, part.delta, tau, part.e_rot[part.m_idx], part.e_rot[part.p_idx]
+            pulse.Omega, pair_delta(part), tau, part.e_rot[part.m_idx], part.e_rot[part.p_idx]
         )
         out[part.m_idx] = amps[part.m_idx] * (u11 / np.abs(u11))
         out[part.p_idx] = amps[part.p_idx] * (u22 / np.abs(u22))

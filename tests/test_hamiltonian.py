@@ -10,7 +10,6 @@ from isingpulse import (
     Pulse,
     chaos_border,
     flip,
-    spin_z,
     validate_selective,
 )
 from isingpulse import basis, protocol_fidelity
@@ -21,7 +20,7 @@ from isingpulse.hamiltonian import (
     rotating_energy_table,
 )
 
-from chain_helpers import single_flip_deltas, spin_z_columns, total_spin_z, xi
+from chain_helpers import single_flip_deltas, spin_z, spin_z_columns, total_spin_z, xi
 
 
 def _rot_ham(p, nu, Omega):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import weakref
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,10 +19,8 @@ from isingpulse import (
     build_ideal_state,
     dynamical_fidelity,
     epsilon_param,
-    eta_param,
     ground_state,
     partition_blocks,
-    resonance_frequency,
     run_protocol,
     run_protocol_pert,
     two_pi_k_omega,
@@ -42,7 +41,14 @@ from isingpulse.pert import (
 )
 from isingpulse.protocol import Protocol
 
-from chain_helpers import paper_transition
+from chain_helpers import (
+    eta_param,
+    pair_delta,
+    paper_transition,
+    reference_block_step,
+    reference_ideal_step,
+    resonance_frequency,
+)
 
 P6 = ChainParams(L=6, omega0=0.0, a=100.0, J=1.0)
 
@@ -60,7 +66,7 @@ def test_partition_first_pulse_resonant_block():
     prot = build_entanglement_protocol(P6, 0.118)
     part = partition_blocks(prot.pulses[0], P6)
     pairs = {(int(m), int(p)): d for m, p, d in
-             zip(part.m_idx, part.p_idx, part.delta)}
+             zip(part.m_idx, part.p_idx, pair_delta(part))}
     assert (0, 1) in pairs
     assert pairs[(0, 1)] == pytest.approx(0.0, abs=1e-12)
 
@@ -78,12 +84,12 @@ def test_partition_spectator_block_detuning():
     prot = build_entanglement_protocol(P6, 0.118)
     # second pulse: parked |0...0> sits in a block at Delta = 2J
     part = partition_blocks(prot.pulses[1], P6)
-    d0 = {int(m): d for m, d in zip(part.m_idx, part.delta)}
+    d0 = {int(m): d for m, d in zip(part.m_idx, pair_delta(part))}
     assert 0 in d0
     assert d0[0] == pytest.approx(2 * P6.J, abs=1e-9)
     # fourth pulse: 4J
     part4 = partition_blocks(prot.pulses[3], P6)
-    d0 = {int(m): d for m, d in zip(part4.m_idx, part4.delta)}
+    d0 = {int(m): d for m, d in zip(part4.m_idx, pair_delta(part4))}
     assert d0[0] == pytest.approx(4 * P6.J, abs=1e-9)
 
 
@@ -199,23 +205,68 @@ def test_partition_matches_reference_greedy_loop_bit_for_bit(L, monkeypatch):
 
     monkeypatch.setattr(pert, "_greedy_matching", counted)
     n_pulses = n_conflicted = 0
+    live_cases = []
     for mirror in (False, True):
         for J in MATCHING_J:
             p = ChainParams(L=L, omega0=100.0 if mirror else 0.0, a=100.0, J=J)
             prot = build_entanglement_protocol(p, 0.118, mirror=mirror)
-            for pu in prot.pulses + tuple(_reach_pulses(p)):
+            supports = _block_supports(prot)
+            for i, pu in enumerate(prot.pulses + tuple(_reach_pulses(p))):
                 n_conflicts = _assert_matches_reference(pu, p)
                 n_pulses += 1
                 n_conflicted += n_conflicts > 0
+                live_cases.append((pu, p, _live_sets(prot, supports[i:i + 1], i)))
     # Both branches ran, and every conflicted pulse took the greedy one.
     assert 0 < n_conflicted <= len(greedy_calls) < n_pulses
+    # Given the live states, the partition returns the whole partition's
+    # blocks that hold one, on one qubit in reach and on the fallback.
+    for pu, p, live_sets in live_cases:
+        for live in live_sets:
+            _assert_live_blocks_of_whole_partition(pu, p, live)
+
+
+def _block_supports(prot):
+    """The states the block route's state holds at the start of each pulse."""
+    p = prot.params
+    supports = []
+
+    def step(amps, pulse, to_rot, to_lab):
+        supports.append(np.flatnonzero(amps))
+        return reference_block_step(p, amps, pulse, to_rot, to_lab)
+
+    propagate_protocol(ground_state(p.L), prot, step)
+    return supports
+
+
+def _live_sets(prot, supports, seed):
+    """Sets of live states to ask a partition of the chain for: the given
+    block-route supports, the states of the walk's path, a seeded random
+    subset, one state and every state."""
+    n = 1 << prot.params.L
+    path = {0} | {pu.target[0].index ^ (1 << pu.target[1]) for pu in prot.pulses}
+    rng = np.random.default_rng(seed)
+    return [*supports, np.array(sorted(path)), np.flatnonzero(rng.random(n) < 0.3),
+            rng.integers(n, size=1), np.arange(n)]
+
+
+def _assert_live_blocks_of_whole_partition(pulse, p, live):
+    whole = partition_blocks(pulse, p)
+    part = partition_blocks(pulse, p, live)
+    held = np.zeros(1 << p.L, dtype=bool)
+    held[live] = True
+    pairs = held[whole.m_idx] | held[whole.p_idx]
+    want = (whole.m_idx[pairs], whole.p_idx[pairs], whole.singletons[held[whole.singletons]])
+    for g, w in zip((part.m_idx, part.p_idx, part.singletons), want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+    assert np.array_equal(part.e_rot, whole.e_rot)
+    assert part.n_conflicts == whole.n_conflicts
 
 
 def _assert_matches_reference(pulse, p):
     """Compare the partition with the reference byte for byte; returns
     the conflict count."""
     part = partition_blocks(pulse, p)
-    got = (part.m_idx, part.p_idx, part.delta, part.singletons)
+    got = (part.m_idx, part.p_idx, pair_delta(part), part.singletons)
     *want, n_conflicts = _reference_partition(pulse, p)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
@@ -269,7 +320,7 @@ def test_partition_blocks_object_view():
     part = partition_blocks(prot.pulses[0], P6)
     i0 = int(np.flatnonzero(part.m_idx == 0)[0])
     assert part.p_idx[i0] == 1
-    assert len(part.m_idx) == len(part.p_idx) == len(part.delta)
+    assert len(part.m_idx) == len(part.p_idx) == len(pair_delta(part))
     assert 2 * len(part.m_idx) + len(part.singletons) <= 1 << 6
 
 
@@ -278,8 +329,8 @@ def test_partition_stores_pairs_not_detunings():
     names = [f.name for f in dataclasses.fields(BlockPartition)]
     assert names == ["L", "m_idx", "p_idx", "singletons", "e_rot", "n_conflicts"]
     part = partition_blocks(build_entanglement_protocol(P6, 0.118).pulses[3], P6)
-    assert np.array_equal(part.delta, part.e_rot[part.p_idx] - part.e_rot[part.m_idx])
-    assert np.all(np.abs(part.delta) <= default_threshold(P6))
+    assert np.array_equal(pair_delta(part), part.e_rot[part.p_idx] - part.e_rot[part.m_idx])
+    assert np.all(np.abs(pair_delta(part)) <= default_threshold(P6))
 
 
 def test_two_level_block_validates_single_flip():
@@ -497,7 +548,7 @@ def _closed_form_block_run(prot):
         tau = pulse.duration
         m, q, s = part.m_idx, part.p_idx, part.singletons
         u11, u12, u21, u22 = _block_u(
-            pulse.Omega, part.delta, tau, part.e_rot[m], part.e_rot[q])
+            pulse.Omega, pair_delta(part), tau, part.e_rot[m], part.e_rot[q])
         out = amps.copy()
         out[m] = u11 * amps[m] + u12 * amps[q]
         out[q] = u21 * amps[m] + u22 * amps[q]
@@ -577,6 +628,31 @@ def test_block_route_equals_dense_step_on_singletons_and_full_support():
     got = run_protocol_pert(psi0, prot, "block")
     want = _dense_block_run(psi0, prot)
     assert np.array_equal(got.amplitudes, want.amplitudes)
+
+
+LIVE_ORACLE_J = (0.8, 1.945, 9.99, 24.9, 33.4, 50.1)
+
+
+@pytest.mark.parametrize("L, Js", [
+    *(pytest.param(L, LIVE_ORACLE_J, id=f"L{L}") for L in range(3, 17)),
+    pytest.param(18, (1.945,), id="L18"),
+])
+def test_live_partition_states_equal_whole_partition_reference(L, Js):
+    # The block and ideal steps ask the partition for the live blocks
+    # alone; the references select them from the whole partition.  Past
+    # L = 15 the live pairs reach numpy's temporary-elision size, and
+    # J >= 24.9 takes the two-qubit fallback.
+    for mirror in (False, True):
+        for J in Js:
+            p = ChainParams(L=L, omega0=100.0 if mirror else 0.0, a=100.0, J=J)
+            prot = build_entanglement_protocol(p, 0.118, mirror=mirror)
+            where = f"L={L} J={J} mirror={mirror}"
+            got = run_protocol_pert(ground_state(L), prot, "block").amplitudes
+            want = propagate_protocol(ground_state(L), prot, partial(reference_block_step, p))
+            assert np.array_equal(got, want.amplitudes), where
+            got = build_ideal_state(prot).amplitudes
+            want = propagate_protocol(ground_state(L), prot, partial(reference_ideal_step, p))
+            assert np.array_equal(got, want.amplitudes), where
 
 
 @pytest.mark.parametrize("J, counts", [
@@ -701,7 +777,7 @@ def _reference_pt1_dressing(part, Omega, degeneracy_tol):
     cols = [part.singletons]
     vals = [np.ones(len(part.singletons))]
     if len(part.m_idx):
-        m, q, d = part.m_idx, part.p_idx, part.delta
+        m, q, d = part.m_idx, part.p_idx, pair_delta(part)
         lam = np.hypot(Omega, d)
         mean = 0.5 * (part.e_rot[m] + part.e_rot[q])
         eps0[m] = mean - 0.5 * lam

@@ -12,7 +12,6 @@ from isingpulse import (
     epsilon_param,
     flip,
     format_protocol_table,
-    resonance_frequency,
     spectator_detunings,
     two_pi_k_omega,
     validate_selective,
@@ -23,6 +22,7 @@ from chain_helpers import (
     fake_transitions,
     paper_transition,
     protocol_target_index,
+    resonance_frequency,
     single_flip_deltas,
 )
 
