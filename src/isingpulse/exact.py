@@ -18,11 +18,12 @@ branches right when pulses of different frequencies are chained.  Total
 spin-z takes only the L + 1 values L/2 - c, c the number of excited
 qubits, so a pulse's two transforms are L + 1 exponentials each, the
 frame levels.  The pulse driver builds the levels and hands them to the
-route's step, which applies them where it gathers amplitudes: the block
-step and the ideal step on the entries that hold amplitude, the exact
-dense step and block+pt1, which need every entry, through
-:func:`rotating_step`'s full-array :func:`to_rotating` and
-:func:`from_rotating`.
+route's step, which applies them with :func:`frame_phase` where it
+gathers amplitudes: the block step and the ideal step on the entries that
+hold amplitude, the exact dense step and block+pt1, which need every
+entry, on the whole array through :func:`rotating_step`.  These levels
+are the program's one frame arithmetic; the public :func:`to_rotating`
+and :func:`from_rotating` apply the same levels to a :class:`StateVector`.
 
 scipy is imported bare: its ``linalg`` submodule loads at the first eigh,
 so commands that never take this route (``validate``, ``chaos``, the block
@@ -62,17 +63,13 @@ def _frame_levels(x: complex, L: int) -> np.ndarray:
     return np.exp(x * spin_z_levels(L))
 
 
-def _spin_z_phase(x: complex, L: int) -> np.ndarray:
-    """exp(x * Sz_total) for every basis state, from the L + 1 levels."""
-    return _frame_levels(x, L)[excitation_count(L)]
-
-
 def frame_phase(values: np.ndarray, counts: np.ndarray, levels: np.ndarray) -> np.ndarray:
     """``values`` times the frame phase of the states with ``counts``
-    excitations, read from the L + 1 ``levels``.
+    excitations, read from the L + 1 ``levels``: the program's one frame
+    transform, on the whole array or on gathered entries.
 
-    The value stays the left operand, as in the full-array transforms, so
-    each entry takes the same rounding.  ``np.multiply`` is called rather
+    The value is always the left operand, so an entry takes the same
+    rounding whichever step frames it.  ``np.multiply`` is called rather
     than ``*``: numpy may evaluate ``x * temporary`` in place in the
     temporary, with the operands swapped, and on complex values a * b and
     b * a can differ in the last bit.
@@ -83,15 +80,17 @@ def frame_phase(values: np.ndarray, counts: np.ndarray, levels: np.ndarray) -> n
 def to_rotating(psi: StateVector, nu: float, t: float) -> StateVector:
     """Transform a lab-frame state into the frame rotating at nu, at time t."""
     psi.require_lab()
-    phase = _spin_z_phase(-1j * nu * t, psi.L)
-    return StateVector(psi.amplitudes * phase, time=psi.time, rot_nu=nu)
+    levels = _frame_levels(-1j * nu * t, psi.L)
+    amps = frame_phase(psi.amplitudes, excitation_count(psi.L), levels)
+    return StateVector(amps, time=psi.time, rot_nu=nu)
 
 
 def from_rotating(psi: StateVector, nu: float, t: float) -> StateVector:
     """Inverse of :func:`to_rotating` at the same frequency and time."""
     psi.require_rotating(nu)
-    phase = _spin_z_phase(1j * nu * t, psi.L)
-    return StateVector(psi.amplitudes * phase, time=psi.time, rot_nu=None)
+    levels = _frame_levels(1j * nu * t, psi.L)
+    amps = frame_phase(psi.amplitudes, excitation_count(psi.L), levels)
+    return StateVector(amps, time=psi.time, rot_nu=None)
 
 
 @dataclass(frozen=True)
@@ -144,14 +143,14 @@ class _SharedByKey:
 
 def rotating_step(step):
     """Adapt ``step(amps, pulse)``, which evolves rotating-frame amplitudes
-    over a pulse, to the driver's contract: the lab amplitudes go through
-    the full-array :func:`to_rotating` and :func:`from_rotating`, and the
-    frame levels the driver passes are not read."""
+    over a pulse, to the driver's contract: every entry enters the frame
+    and leaves it through :func:`frame_phase` on the levels the driver
+    passes."""
 
     def framed(amps, pulse, to_rot, to_lab):
-        rot = to_rotating(StateVector(amps, time=pulse.t_start), pulse.nu, pulse.t_start)
-        evolved = StateVector(step(rot.amplitudes, pulse), time=pulse.t_end, rot_nu=pulse.nu)
-        return from_rotating(evolved, pulse.nu, pulse.t_end).amplitudes
+        counts = excitation_count(len(amps).bit_length() - 1)
+        rot = frame_phase(amps, counts, to_rot)
+        return frame_phase(step(rot, pulse), counts, to_lab)
 
     return framed
 
@@ -190,8 +189,9 @@ def propagate_pulse(
     frame as ``amps[s] * to_rot[c]`` and leaves it as ``x * to_lab[c]``,
     c the excitation count of s (:func:`frame_phase`), where ``to_rot``
     and ``to_lab`` hold exp(-i nu t_start Sz) and exp(+i nu t_end Sz) at
-    the L + 1 levels of total spin-z.  A step on rotating-frame
-    amplitudes goes through :func:`rotating_step`.  The step defaults to
+    the L + 1 levels of total spin-z, built here once a pulse.  A step on
+    rotating-frame amplitudes goes through :func:`rotating_step`, which
+    applies these levels to every entry.  The step defaults to
     the exact dense step.  Norm conservation is enforced to 1e-10, and a
     NaN norm fails it.
     """

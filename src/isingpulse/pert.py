@@ -25,15 +25,15 @@ alone, as it gathers and scatters them; every other entry stays the zero
 that the dense form also gives.  It asks :func:`partition_blocks` for
 just those blocks (the ``live`` argument), as the ideal state does.  On a
 walk pulse the partition then pairs only the live states with their flips
-of the one qubit in reach, and never builds the other pairs.  In the
-selective regime the state reaches new basis states only as the walk
-reaches new qubits: at L = 8, J = 1.945 it holds 2, 4, 8, 8, 16, 16,
-... 256 nonzero amplitudes after successive pulses, so the early pulses
-of a walk touch a small share of the basis.  Each live entry is computed
-in the expression order of the dense form between full-array frame
-transforms, so final states equal that form's bit for bit, bar the sign
-of zeros.  The pt1 dressing needs every pair, so block+pt1 still
-partitions, rotates and transforms the whole basis.
+of the one qubit in reach, and never builds the other pairs; a whole
+partition is the same scan with every state live.  In the selective
+regime the state reaches new basis states only as the walk reaches new
+qubits: at L = 8, J = 1.945 it holds 2, 4, 8, 8, 16, 16, ... 256 nonzero
+amplitudes after successive pulses, so the early pulses of a walk touch a
+small share of the basis.  Each live entry is computed in the expression
+order of the dense form framed on the whole array, so final states equal
+that form's bit for bit, bar the sign of zeros.  The pt1 dressing needs
+every pair, so block+pt1 partitions, rotates and frames the whole basis.
 
 The same evolution as closed-form two-level amplitudes,
 
@@ -233,26 +233,15 @@ def _reach(p: ChainParams, nu: float) -> list[int]:
     return [k for k, w in enumerate(omegas) if abs(w - nu) <= reach]
 
 
-def _flip_candidates(e_rot, k, threshold, live=None):
-    """The in-threshold flips of qubit k as (m, p) in ascending m, where m
-    has bit k clear and p = m ^ 2^k; given the states ``live``, only the
-    flips that hold one of them."""
+def _flip_candidates(e_rot, k, threshold, states):
+    """The in-threshold flips of qubit k that hold one of ``states``, as
+    (m, p) in ascending m, where m has bit k clear and p = m ^ 2^k."""
     bit = 1 << k
-    if live is None:
-        # Axis 1 of this view is bit k: [:, 0] holds the states with it
-        # clear, in ascending order, and [:, 1] their flip partners.
-        shape = (len(e_rot) >> (k + 1), 2, bit)
-        e = e_rot.reshape(shape)
-        keep = np.abs(e[:, 1] - e[:, 0]) <= threshold
-        clear = np.zeros(shape, dtype=bool)
-        clear[:, 0] = keep
-    else:
-        lo = live & ~bit
-        keep = np.abs(e_rot[lo | bit] - e_rot[lo]) <= threshold
-        # A live state and its live partner give the same m once.
-        clear = np.zeros(len(e_rot), dtype=bool)
-        clear[lo[keep]] = True
+    # A state and its partner, both given, give the same m once.
+    clear = np.zeros(len(e_rot), dtype=bool)
+    clear[states & ~bit] = True
     lo = np.flatnonzero(clear)
+    lo = lo[np.abs(e_rot[lo | bit] - e_rot[lo]) <= threshold]
     return lo, lo ^ bit
 
 
@@ -267,31 +256,32 @@ def partition_blocks(pulse: Pulse, p: ChainParams, live=None) -> BlockPartition:
     none when nu is far from every site frequency, so a call costs O(2^L)
     and needs no sort.  Pairs come in ascending ``m_idx``.
 
-    One qubit's candidates already come in that order and share no state,
-    so each state has at most one candidate, its flip of that qubit.
-    With ``live`` the partition then reads the table only at the live
-    states and their flips.  With two or more qubits in reach the
-    candidates still form a matching in the selective regime (no state in
-    two of them), and all of them are taken with ``n_conflicts`` 0.  Only
-    when some state has two candidates are they matched greedily in order
-    of increasing |detuning|, ties broken by state indices, a state
-    keeping its best partner that is still free.  Then ``n_conflicts``
-    counts the in-threshold states that lost their closest candidate and
-    fell through to their next candidate or a singleton.  Flips outside
-    the threshold take no part in that count: they cannot put a state in
+    Without ``live`` every state is live.  One qubit's candidates
+    already come in that order and share no state, so each state has at
+    most one candidate, its flip of that qubit, and the partition reads
+    the table only at the live states and their flips.  With two or more
+    qubits in reach every state is scanned.  The candidates still form a
+    matching in the selective regime (no state in two of them), and all
+    of them are taken with ``n_conflicts`` 0.  Only when some state has
+    two candidates are they matched greedily in order of increasing
+    |detuning|, ties broken by state indices, a state keeping its best
+    partner that is still free.  Then ``n_conflicts`` counts the
+    in-threshold states that lost their closest candidate and fell
+    through to their next candidate or a singleton.  Flips outside the
+    threshold take no part in that count: they cannot put a state in
     threshold, nor tie with an in-threshold |detuning|.  Either way the
-    pairs are then sorted by m, and with ``live`` the live blocks are
-    selected from the whole partition.  ``e_rot`` is the whole table
-    either way.
+    pairs are then sorted by m, and the blocks that hold a live state are
+    kept.  ``e_rot`` is the whole table either way.
     """
     threshold = default_threshold(p)
     L, n = p.L, 1 << p.L
     e_rot = rotating_energy_table(p, pulse.nu)
+    states = np.arange(n) if live is None else live
     reach = _reach(p, pulse.nu)
     # One qubit's candidates form a matching, so each live state's own
     # flip decides its block; otherwise the live blocks are selected below.
-    local = live if len(reach) == 1 else None
-    cands = [_flip_candidates(e_rot, k, threshold, local) for k in reach]
+    scan = states if len(reach) == 1 else np.arange(n)
+    cands = [_flip_candidates(e_rot, k, threshold, scan) for k in reach]
 
     n_conflicts = 0
     if not cands:
@@ -307,10 +297,8 @@ def partition_blocks(pulse: Pulse, p: ChainParams, live=None) -> BlockPartition:
         # A matching holds each m once, so this order is unique.
         order = np.argsort(m_idx)
         m_idx, p_idx = m_idx[order], p_idx[order]
-
-    if live is not None and local is None:
         held = np.zeros(n, dtype=bool)
-        held[live] = True
+        held[states] = True
         held = held[m_idx] | held[p_idx]
         m_idx, p_idx = m_idx[held], p_idx[held]
     taken = np.zeros(n, dtype=bool)
@@ -319,7 +307,7 @@ def partition_blocks(pulse: Pulse, p: ChainParams, live=None) -> BlockPartition:
         L=L,
         m_idx=m_idx,
         p_idx=p_idx,
-        singletons=np.flatnonzero(~taken) if live is None else live[~taken[live]],
+        singletons=states[~taken[states]],
         e_rot=e_rot,
         n_conflicts=n_conflicts,
     )
@@ -386,10 +374,10 @@ def _block_step(part: BlockPartition, Omega: float, tau: float, amps, to_rot, to
 
     Each pair and singleton takes the arithmetic of the dense form
     ``_rotate(part, c, -s, exp(-i eps0 tau) _rotate(part, c, s, amps))``
-    between full-array frame transforms, in the same order, so its
-    entries match that form bit for bit.  Every entry outside ``part`` is
-    returned zero: given the live blocks, that is the zero the dense form
-    also gives, bar its sign.
+    framed on the whole array (:func:`exact.rotating_step`), in the same
+    order, so its entries match that form bit for bit.  Every entry
+    outside ``part`` is returned zero: given the live blocks, that is the
+    zero the dense form also gives, bar its sign.
     """
     m, p, single = part.m_idx, part.p_idx, part.singletons
     # A pair's p state holds one more excitation than its m state.

@@ -2,11 +2,14 @@
 
 The package does not compute the quantities itself; each is written here
 from its definition.  The reference steps select the live blocks from the
-whole partition, the form the package's steps replaced.
+whole partition, the form the package's steps replaced, and
+:func:`full_array_step` frames a step with one exponential per basis
+state, not with the pulse driver's L + 1 frame levels.
 """
 
 import dataclasses
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,9 +32,27 @@ def spin_z_columns(L: int) -> list[np.ndarray]:
             for k in range(L)]
 
 
+@lru_cache(maxsize=8)
 def total_spin_z(L: int) -> np.ndarray:
     """Total spin-z of every basis state: the sum of the qubit columns."""
-    return sum(spin_z_columns(L))
+    tot = sum(spin_z_columns(L))
+    tot.setflags(write=False)
+    return tot
+
+
+def full_array_step(step):
+    """Adapt ``step(amps, pulse)``, which evolves rotating-frame amplitudes
+    over a pulse, to the pulse driver's contract without reading the frame
+    levels it passes: every entry enters the frame as amps[s] * exp(-i nu
+    t_start Sz(s)) and leaves it as x[s] * exp(+i nu t_end Sz(s)), with
+    Sz from :func:`total_spin_z`."""
+
+    def framed(amps, pulse, to_rot, to_lab):
+        tsz = total_spin_z(len(amps).bit_length() - 1)
+        rot = np.multiply(amps, np.exp(-1j * pulse.nu * pulse.t_start * tsz))
+        return np.multiply(step(rot, pulse), np.exp(1j * pulse.nu * pulse.t_end * tsz))
+
+    return framed
 
 
 def single_flip_deltas(s: BasisState, p: ChainParams) -> list[tuple[int, float]]:

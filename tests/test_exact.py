@@ -1,5 +1,6 @@
 import math
 import weakref
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -24,12 +25,12 @@ from isingpulse import (
     run_protocol_pert,
     to_rotating,
 )
-from isingpulse import exact, fidelity
+from isingpulse import exact, fidelity, pert
 from isingpulse.exact import PulsePropagator, propagate_protocol, rotating_step
 from isingpulse.hamiltonian import RotFrameHam
 from isingpulse.pert import _block_step, partition_blocks
 
-from chain_helpers import resonance_frequency, total_spin_z
+from chain_helpers import full_array_step, resonance_frequency, total_spin_z
 
 
 def _unitarity_defect(prop, tau, n_samples=8):
@@ -75,10 +76,12 @@ def test_all_ground_frame_phase():
     assert rot.amplitudes[0] == pytest.approx(np.exp(-1j * nu * t * L / 2), abs=1e-14)
 
 
-@pytest.mark.parametrize("L", range(1, 13))
+@pytest.mark.parametrize("L", [*range(1, 13), 16])
 def test_frame_transforms_match_direct_phases_bit_for_bit(L):
     # The transforms exponentiate the L + 1 spin-z levels only; every
     # amplitude must come out as with one exponential per basis state.
+    # The references call np.multiply, so that past 2^14 entries numpy
+    # cannot evaluate them in place in the temporary, operands swapped.
     rng = np.random.default_rng(L)
     psi = _random_state(L, rng)
     amps = psi.amplitudes
@@ -89,9 +92,9 @@ def test_frame_transforms_match_direct_phases_bit_for_bit(L):
               for _ in range(5)]
     for nu, t in cases:
         rot = to_rotating(psi, nu, t).amplitudes
-        assert rot.tobytes() == (amps * np.exp(-1j * nu * t * tsz)).tobytes()
+        assert rot.tobytes() == np.multiply(amps, np.exp(-1j * nu * t * tsz)).tobytes()
         lab = from_rotating(StateVector(amps, rot_nu=nu), nu, t).amplitudes
-        assert lab.tobytes() == (amps * np.exp(1j * nu * t * tsz)).tobytes()
+        assert lab.tobytes() == np.multiply(amps, np.exp(1j * nu * t * tsz)).tobytes()
 
 
 def test_frame_mismatch_raises():
@@ -267,18 +270,19 @@ def test_frame_at_the_gather_equals_full_array_transforms(L):
     # the temporary, with the operands swapped, which can move the last
     # bit of a complex product; the block step's live pairs reach that
     # size at L = 16.  The references run the same steps on rotating-frame
-    # amplitudes between the full-array transforms, with unit frame
-    # levels, a product that is exact.
+    # amplitudes between full-array transforms with one exponential per
+    # basis state (chain_helpers.full_array_step), with unit frame levels,
+    # a product that is exact.
     p = ChainParams(L=L, a=100.0, J=1.945)
     prot = build_entanglement_protocol(p, 0.118)
     one = np.ones(L + 1, dtype=complex)
 
-    @rotating_step
+    @full_array_step
     def block(amps, pulse):
         part = partition_blocks(pulse, p)
         return _block_step(part, pulse.Omega, pulse.duration, amps, one, one)
 
-    @rotating_step
+    @full_array_step
     def ideal(amps, pulse):
         return fidelity._ideal_step(p, amps, pulse, one, one)
 
@@ -288,6 +292,71 @@ def test_frame_at_the_gather_equals_full_array_transforms(L):
     got = build_ideal_state(prot).amplitudes
     want = propagate_protocol(ground_state(L), prot, ideal).amplitudes
     assert np.array_equal(got, want)
+
+
+def _bare_dense_step(p):
+    """The exact step on rotating-frame amplitudes, one eigensystem per
+    distinct (nu, Omega)."""
+    props = {}
+
+    def step(amps, pulse):
+        key = (pulse.nu, pulse.Omega)
+        if key not in props:
+            props[key] = PulsePropagator.build(RotFrameHam(p, *key))
+        return props[key].apply(amps, pulse.duration)
+
+    return step
+
+
+def _bare_pt1_step(p):
+    """The block+pt1 step on rotating-frame amplitudes, one Cayley factor
+    per distinct (nu, Omega)."""
+    tol = 1e-9 * max(p.a, 1.0)
+    factors = {}
+
+    def step(amps, pulse):
+        key = (pulse.nu, pulse.Omega)
+        part = partition_blocks(pulse, p)
+        eps, c, s, a = pert._pt1_dressing(part, pulse.Omega, tol)
+        if key not in factors:
+            factors[key] = pert._cayley_factor(a)
+        out = pert._apply_pt1(
+            pert._rotate(part, c, s, amps), eps, pulse.duration, a, lambda _: factors[key]
+        )
+        return pert._rotate(part, c, -s, out)
+
+    return step
+
+
+STEP_CASES = (
+    [("dense", L) for L in range(3, 10)]
+    + [("pt1", L) for L in range(3, 12)]
+    + [("cheap", L) for L in (16, 18)]
+)
+
+
+@pytest.mark.parametrize("kind, L", STEP_CASES)
+def test_rotating_step_equals_full_array_transforms(kind, L):
+    # rotating_step frames every entry with the driver's L + 1 frame
+    # levels; full_array_step exponentiates total spin-z for every basis
+    # state.  The exact and block+pt1 routes go through rotating_step, so
+    # their final states must equal the adapter's bit for bit.  The cheap
+    # step leaves a random state's rotating-frame amplitudes as they are,
+    # past the 2^14 entries where numpy elides temporaries.
+    p = ChainParams(L=L, a=100.0, J=1.945)
+    prot = build_entanglement_protocol(p, 0.118)
+    if kind == "dense":
+        got = run_protocol(ground_state(L), prot)
+        want = propagate_protocol(ground_state(L), prot, full_array_step(_bare_dense_step(p)))
+    elif kind == "pt1":
+        got = run_protocol_pert(ground_state(L), prot, "block+pt1")
+        want = propagate_protocol(ground_state(L), prot, full_array_step(_bare_pt1_step(p)))
+    else:
+        walk = replace(prot, pulses=prot.pulses[:3])
+        psi = _random_state(L, np.random.default_rng(L))
+        got = propagate_protocol(psi, walk, rotating_step(lambda amps, _: amps))
+        want = propagate_protocol(psi, walk, full_array_step(lambda amps, _: amps))
+    assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
 
 
 def test_norm_guard_rejects_nan_amplitudes():
@@ -421,8 +490,6 @@ def test_pulse_whose_nu_disagrees_with_its_target_gets_its_own_build(monkeypatch
     # Pulse 5 of the L = 5 walk flips qubit 2 back with one excited
     # neighbour, the transition pulse 2 drove; detuned, it must not reuse
     # pulse 2's eigensystem, and runs as if it carried no target.
-    from dataclasses import replace
-
     from isingpulse.protocol import Protocol
 
     built = _count_builds(monkeypatch)
