@@ -7,17 +7,17 @@ omega_k - nu give or take 2J from its neighbours, so only the qubits with
 |omega_k - nu| <= a/2 + 2J are scanned, one on a walk pulse while 8J < a;
 the partition then costs O(2^L) and needs no sort.  Pairs come in ascending
 index of their lower state; |detuning| order is used only inside the
-greedy matching that resolves states with two candidates.  A pair is two
-indices into the partition's rotating energy table ``e_rot``, the one
-source of every pair energy: a pair's detuning is the difference of its
-two entries, formed where it is used.  Every consumer gathers and scatters
-the pairs by index, so their order changes no result.  Each pair's 2x2
-block is diagonalised in closed form by a (c, s) rotation W, applied by
-gathering the pair's two amplitudes; singletons keep their diagonal
-energy.  The block step is W e^{-i eps0 tau} W^T; the pulse loop, with
-its clock check, lab-frame check and norm guard, is the exact
-propagator's, which hands the step the lab amplitudes and the pulse's
-frame levels.
+greedy matching of two or more qubits' candidates, built in rounds of
+array operations.  A pair is two indices into the partition's rotating
+energy table ``e_rot``, the one source of every pair energy: a pair's
+detuning is the difference of its two entries, formed where it is used.
+Every consumer gathers and scatters the pairs by index, so their order
+changes no result.  Each pair's 2x2 block is diagonalised in closed form
+by a (c, s) rotation W, applied by gathering the pair's two amplitudes;
+singletons keep their diagonal energy.  The block step is
+W e^{-i eps0 tau} W^T; the pulse loop, with its clock check, lab-frame
+check and norm guard, is the exact propagator's, which hands the step the
+lab amplitudes and the pulse's frame levels.
 
 The block step evaluates that form only on the pairs and singletons that
 hold a nonzero amplitude, and applies the frame phases to those entries
@@ -163,9 +163,9 @@ class BlockPartition:
     is ``e_rot[p_idx] - e_rot[m_idx]``.  ``singletons`` lists the leftover
     states in ascending order.  ``n_conflicts`` counts states whose
     closest in-threshold partner ended up paired elsewhere (resolved by
-    the greedy matching, the one place where pairs are ordered by
-    |delta|); it is the whole partition's count, with live states or
-    without.
+    the greedy matching of two or more qubits' candidates, the one place
+    where pairs are ordered by |delta|); it is the whole partition's
+    count, with live states or without.
     """
 
     L: int
@@ -176,41 +176,43 @@ class BlockPartition:
     n_conflicts: int
 
 
-def _greedy_matching(order, cand_m, cand_p):
-    """The entries of ``order`` whose candidate pair still has both states
-    free when a scan in that order reaches it."""
-    taken = set()
-    sel = []
-    pairs = zip(order.tolist(), cand_m[order].tolist(), cand_p[order].tolist())
-    for i, m, q in pairs:
-        if m not in taken and q not in taken:
-            taken.update((m, q))
-            sel.append(i)
-    return np.array(sel, dtype=int)
+def _greedy_partition(cand_m, cand_p, e_rot, n):
+    """Greedy matching of the candidates in order of increasing |Delta|,
+    ties broken by state indices, and its conflict count.  Returns the
+    selected (m, p) in that scan order and ``n_conflicts``.
 
-
-def _greedy_partition(cand_m, cand_p, e_rot, n, threshold):
-    """Greedy matching of candidates that are not a matching, scanned in
-    order of increasing |Delta|, and its conflict count.  Returns the
-    selected (m, p) in scan order and ``n_conflicts``."""
+    A candidate's rank is its position in the scan.  The matching is built
+    in rounds: each round takes every remaining candidate that ranks first
+    at both of its states, then drops the candidates that touch a taken
+    state.  In a strict order this is the one-by-one scan's matching
+    (Preis, STACS 1999; Manne & Bisseling, PPAM 2007), and a candidate set
+    that is already a matching is taken whole in one round.
+    """
     cand_abs = np.abs(e_rot[cand_p] - e_rot[cand_m])
-    # Ascending |Delta|, ties broken by state indices for determinism.
-    order = _greedy_matching(
-        np.lexsort((cand_p, cand_m, cand_abs)), cand_m, cand_p
-    )
-    m_idx, p_idx = cand_m[order], cand_p[order]
-    # A state is "conflicted" when its closest transition was within the
-    # threshold but it did not end up paired through it; a paired state is
-    # "happy" when its pair's |Delta| is that closest one.
-    best_abs = np.full(n, np.inf)
-    np.minimum.at(best_abs, cand_m, cand_abs)
-    np.minimum.at(best_abs, cand_p, cand_abs)
-    in_thr = best_abs <= threshold
-    happy = np.zeros(n, dtype=bool)
-    abs_delta = cand_abs[order]
-    happy[m_idx] = abs_delta == best_abs[m_idx]
-    happy[p_idx] = abs_delta == best_abs[p_idx]
-    n_conflicts = int(np.count_nonzero(in_thr & ~happy))
+    order = np.lexsort((cand_p, cand_m, cand_abs))
+    m, q, d = cand_m[order], cand_p[order], cand_abs[order]
+    live = np.arange(len(d))
+    won = np.zeros(len(d), dtype=bool)
+    taken = np.zeros(n, dtype=bool)
+    first = None
+    while first is None or live.size:
+        ml, ql = m[live], q[live]
+        # Each state's lowest live rank, one 1-D call per end: numpy 2.4's
+        # ufunc.at misreads a 2-D index with broadcast values.
+        top = np.full(n, len(d))
+        np.minimum.at(top, ml, live)
+        np.minimum.at(top, ql, live)
+        first = top if first is None else first
+        win = (top[ml] == live) & (top[ql] == live)
+        won[live[win]] = True
+        taken[ml[win]] = taken[ql[win]] = True
+        live = live[~(taken[ml] | taken[ql])]
+    m_idx, p_idx, abs_delta = m[won], q[won], d[won]
+    # A state is "conflicted" when it has a candidate but is not paired
+    # through its closest one, the first-round lowest rank; a paired state
+    # is "happy" when its pair's |Delta| is that closest one's.
+    happy = [np.count_nonzero(abs_delta == d[first[s]]) for s in (m_idx, p_idx)]
+    n_conflicts = int(np.count_nonzero(first < len(d)) - sum(happy))
     return m_idx, p_idx, n_conflicts
 
 
@@ -260,18 +262,18 @@ def partition_blocks(pulse: Pulse, p: ChainParams, live=None) -> BlockPartition:
     already come in that order and share no state, so each state has at
     most one candidate, its flip of that qubit, and the partition reads
     the table only at the live states and their flips.  With two or more
-    qubits in reach every state is scanned.  The candidates still form a
-    matching in the selective regime (no state in two of them), and all
-    of them are taken with ``n_conflicts`` 0.  Only when some state has
-    two candidates are they matched greedily in order of increasing
-    |detuning|, ties broken by state indices, a state keeping its best
-    partner that is still free.  Then ``n_conflicts`` counts the
-    in-threshold states that lost their closest candidate and fell
-    through to their next candidate or a singleton.  Flips outside the
-    threshold take no part in that count: they cannot put a state in
-    threshold, nor tie with an in-threshold |detuning|.  Either way the
-    pairs are then sorted by m, and the blocks that hold a live state are
-    kept.  ``e_rot`` is the whole table either way.
+    qubits in reach every state is scanned, and the candidates are
+    matched greedily in order of increasing |detuning|, ties broken by
+    state indices, a state keeping its best partner that is still free
+    (:func:`_greedy_partition`, in rounds).  Candidates that already form
+    a matching (no state in two of them, as in the selective regime) are
+    all taken in its first round with ``n_conflicts`` 0.  Otherwise
+    ``n_conflicts`` counts the in-threshold states that lost their
+    closest candidate and fell through to their next candidate or a
+    singleton.  Flips outside the threshold take no part in that count:
+    they cannot put a state in threshold, nor tie with an in-threshold
+    |detuning|.  The pairs are then sorted by m, and the blocks that hold
+    a live state are kept.  ``e_rot`` is the whole table either way.
     """
     threshold = default_threshold(p)
     L, n = p.L, 1 << p.L
@@ -289,11 +291,8 @@ def partition_blocks(pulse: Pulse, p: ChainParams, live=None) -> BlockPartition:
     elif len(cands) == 1:
         m_idx, p_idx = cands[0]
     else:
-        m_idx, p_idx = (np.concatenate(c) for c in zip(*cands))
-        if np.bincount(np.concatenate([m_idx, p_idx]), minlength=n).max() > 1:
-            m_idx, p_idx, n_conflicts = _greedy_partition(
-                m_idx, p_idx, e_rot, n, threshold
-            )
+        cand_m, cand_p = (np.concatenate(c) for c in zip(*cands))
+        m_idx, p_idx, n_conflicts = _greedy_partition(cand_m, cand_p, e_rot, n)
         # A matching holds each m once, so this order is unique.
         order = np.argsort(m_idx)
         m_idx, p_idx = m_idx[order], p_idx[order]

@@ -85,6 +85,38 @@ def pair_delta(part: BlockPartition) -> np.ndarray:
     return part.e_rot[part.p_idx] - part.e_rot[part.m_idx]
 
 
+def greedy_matching(order, cand_m, cand_p):
+    """The entries of ``order`` whose candidate pair still has both states
+    free when a scan in that order reaches it."""
+    taken = set()
+    sel = []
+    pairs = zip(order.tolist(), cand_m[order].tolist(), cand_p[order].tolist())
+    for i, m, q in pairs:
+        if m not in taken and q not in taken:
+            taken.update((m, q))
+            sel.append(i)
+    return np.array(sel, dtype=int)
+
+
+def reference_greedy_partition(cand_m, cand_p, e_rot, n):
+    """The one-by-one greedy scan of the candidates in order of increasing
+    |Delta|, ties broken by state indices, and a second pass over every
+    candidate that counts the states not paired through their closest one.
+    Returns the selected (m, p) in scan order and ``n_conflicts``."""
+    cand_abs = np.abs(e_rot[cand_p] - e_rot[cand_m])
+    order = greedy_matching(np.lexsort((cand_p, cand_m, cand_abs)), cand_m, cand_p)
+    m_idx, p_idx = cand_m[order], cand_p[order]
+    best_abs = np.full(n, np.inf)
+    np.minimum.at(best_abs, cand_m, cand_abs)
+    np.minimum.at(best_abs, cand_p, cand_abs)
+    happy = np.zeros(n, dtype=bool)
+    abs_delta = cand_abs[order]
+    happy[m_idx] = abs_delta == best_abs[m_idx]
+    happy[p_idx] = abs_delta == best_abs[p_idx]
+    n_conflicts = int(np.count_nonzero(np.isfinite(best_abs) & ~happy))
+    return m_idx, p_idx, n_conflicts
+
+
 def live_blocks(part: BlockPartition, amps: np.ndarray) -> BlockPartition:
     """The pairs and singletons of a whole partition that hold a nonzero
     entry of ``amps``, selected by masks over every block."""

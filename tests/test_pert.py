@@ -46,6 +46,7 @@ from chain_helpers import (
     pair_delta,
     paper_transition,
     reference_block_step,
+    reference_greedy_partition,
     reference_ideal_step,
     resonance_frequency,
 )
@@ -199,13 +200,13 @@ def test_partition_matches_reference_greedy_loop_bit_for_bit(L, monkeypatch):
     import isingpulse.pert as pert
 
     greedy_calls = []
-    greedy = pert._greedy_matching
+    greedy = pert._greedy_partition
 
     def counted(*args):
         greedy_calls.append(1)
         return greedy(*args)
 
-    monkeypatch.setattr(pert, "_greedy_matching", counted)
+    monkeypatch.setattr(pert, "_greedy_partition", counted)
     n_pulses = n_conflicted = 0
     live_cases = []
     for mirror in (False, True):
@@ -218,13 +219,90 @@ def test_partition_matches_reference_greedy_loop_bit_for_bit(L, monkeypatch):
                 n_pulses += 1
                 n_conflicted += n_conflicts > 0
                 live_cases.append((pu, p, _live_sets(prot, supports[i:i + 1], i)))
-    # Both branches ran, and every conflicted pulse took the greedy one.
+    # Both branches ran, and every conflicted pulse took the matcher.
     assert 0 < n_conflicted <= len(greedy_calls) < n_pulses
     # Given the live states, the partition returns the whole partition's
     # blocks that hold one, on one qubit in reach and on the fallback.
     for pu, p, live_sets in live_cases:
         for live in live_sets:
             _assert_live_blocks_of_whole_partition(pu, p, live)
+
+
+class _CountRounds:
+    """Stands in for numpy inside pert and counts ``np.full`` calls: the
+    matcher makes one a round."""
+
+    def __init__(self):
+        self.rounds = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def full(self, *args, **kwargs):
+        self.rounds += 1
+        return np.full(*args, **kwargs)
+
+
+def _random_candidates(rng, n, n_cand, levels):
+    """Distinct random pairs of distinct states among n, with rotating
+    energies drawn from ``levels`` values so that |Delta| ties."""
+    m, q = rng.integers(n, size=(2, n_cand))
+    keep = m != q
+    pairs = np.unique(np.sort(np.stack([m[keep], q[keep]]), axis=0), axis=1)
+    pairs = pairs[:, rng.permutation(pairs.shape[1])]
+    return pairs[0], pairs[1], rng.integers(levels, size=n).astype(float)
+
+
+def _walk_candidates(J, L, mirror):
+    """The whole-basis candidates of every walk pulse with two or more
+    qubits in reach, as partition_blocks builds them."""
+    p = ChainParams(L=L, omega0=100.0 if mirror else 0.0, a=100.0, J=J)
+    n = 1 << L
+    for pu in build_entanglement_protocol(p, 0.118, mirror=mirror).pulses:
+        reach = pert_module._reach(p, pu.nu)
+        if len(reach) > 1:
+            e_rot = rotating_energy_table(p, pu.nu)
+            cands = [pert_module._flip_candidates(e_rot, k, default_threshold(p), np.arange(n))
+                     for k in reach]
+            yield (*(np.concatenate(c) for c in zip(*cands)), e_rot, n)
+
+
+def test_greedy_rounds_equal_one_by_one_scan(monkeypatch):
+    # The rounds select what the one-by-one scan selects, in scan order,
+    # and count the same conflicts: on seeded random graphs with tied
+    # |Delta| and states in three or more candidates, on a path whose
+    # ranks fall along it, on the empty and one-candidate sets, and on
+    # the walks' collision pulses.
+    rng = np.random.default_rng(17)
+    cases = [_random_candidates(rng, n, c, levels) + (n,)
+             for n, c, levels in [(8, 20, 2), (16, 60, 3), (40, 200, 4),
+                                  (64, 150, 1), (300, 900, 5), (1000, 1500, 50)]]
+    # Edge i joins states i and i + 1 with |Delta| = 12 - i, so each round
+    # takes only the last free edge of the path: six rounds.
+    path, on_path = np.arange(12), len(cases)
+    cases.append((path, path + 1, np.cumsum(np.arange(13, 0, -1.0)), 13))
+    empty = np.empty(0, dtype=np.intp)
+    cases += [(empty, empty, np.zeros(4), 4),
+              (np.array([2]), np.array([3]), np.array([0.0, 1.0, 2.0, 5.0]), 4)]
+    n_built = len(cases)
+    for J in (24.9, 33.4, 50.1, 75.0):
+        for L in (14, 16):
+            for mirror in (False, True):
+                cases += _walk_candidates(J, L, mirror)
+    rounds = _CountRounds()
+    monkeypatch.setattr(pert_module, "np", rounds)
+    n_rounds, n_conflicted = [], 0
+    for cand_m, cand_p, e_rot, n in cases:
+        before = rounds.rounds
+        *got, n_conflicts = pert_module._greedy_partition(cand_m, cand_p, e_rot, n)
+        n_rounds.append(rounds.rounds - before)
+        *want, want_conflicts = reference_greedy_partition(cand_m, cand_p, e_rot, n)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+        assert n_conflicts == want_conflicts
+        n_conflicted += n_conflicts > 0
+    assert n_rounds[on_path] == 6
+    assert len(cases) - n_built > 20 and n_conflicted > 20
 
 
 def _block_supports(prot):
