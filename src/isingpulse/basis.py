@@ -6,12 +6,19 @@ each qubit: bit k = 0 means qubit k is in its single-particle ground state
 all-zero string is therefore the lowest configuration of the static field
 term, and flipping one bit changes exactly one spin.  Per-state spin values
 are cached only as excitation counts and the L + 1 total spin-z levels.
+
+A state is held in one of two forms: :class:`StateVector`, all 2^L
+amplitudes, or :class:`SupportState`, the ascending indices of the entries
+that may be nonzero and their amplitudes.  Both carry a clock and a frame
+tag, and the pulse driver steps either.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,8 +98,37 @@ def total_spin_z(L: int) -> np.ndarray:
     return tot
 
 
+def _norm(values: np.ndarray) -> float:
+    """2-norm of complex values, read as one contiguous float vector: one
+    dot product where ``np.linalg.norm`` takes two strided ones.  A NaN
+    entry gives a NaN norm."""
+    x = np.ascontiguousarray(values).view(float)
+    return math.sqrt(x @ x)
+
+
+class _Framed:
+    """The frame tag of a state: ``rot_nu`` is None in the laboratory
+    frame, otherwise the frequency of the rotating frame the amplitudes
+    are expressed in."""
+
+    @property
+    def is_lab(self) -> bool:
+        return self.rot_nu is None
+
+    def require_lab(self):
+        if not self.is_lab:
+            raise FrameError(f"expected lab-frame state, got rotating({self.rot_nu})")
+
+    def require_rotating(self, nu: float):
+        if self.is_lab or self.rot_nu != nu:
+            raise FrameError(
+                f"expected rotating({nu}) state, got "
+                f"{'lab' if self.is_lab else f'rotating({self.rot_nu})'}"
+            )
+
+
 @dataclass(frozen=True)
-class StateVector:
+class StateVector(_Framed):
     """2^L complex amplitudes at a given time, tagged with its frame.
 
     ``rot_nu`` is None in the laboratory frame, otherwise the frequency of
@@ -118,23 +154,54 @@ class StateVector:
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "L", L)
 
-    @property
-    def is_lab(self) -> bool:
-        return self.rot_nu is None
+    def norm(self) -> float:
+        return _norm(self.amplitudes)
+
+
+class Support(NamedTuple):
+    """The entries of a state that may be nonzero: basis indices in
+    ascending order and their complex amplitudes."""
+
+    indices: np.ndarray
+    values: np.ndarray
+
+
+@dataclass(frozen=True)
+class SupportState(_Framed):
+    """An L-qubit state held as its support, at a given time, tagged with
+    its frame as :class:`StateVector` is.
+
+    ``amplitudes`` is a :class:`Support`; every entry it does not list is
+    zero.  Nothing here is 2^L long, so a step on this form costs what its
+    support costs.
+    """
+
+    amplitudes: Support
+    L: int
+    time: float = 0.0
+    rot_nu: float | None = None
+
+    def __post_init__(self):
+        idx, vals = self.amplitudes
+        idx, vals = np.asarray(idx), np.asarray(vals, dtype=complex)
+        if idx.ndim != 1 or idx.shape != vals.shape:
+            raise ValueError(
+                f"support needs 1-d indices and amplitudes of one length, "
+                f"got shapes {idx.shape} and {vals.shape}"
+            )
+        if self.L < 1:
+            raise ValueError(f"need at least one qubit, got L={self.L}")
+        object.__setattr__(self, "amplitudes", Support(idx, vals))
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        return _norm(self.amplitudes.values)
 
-    def require_lab(self):
-        if not self.is_lab:
-            raise FrameError(f"expected lab-frame state, got rotating({self.rot_nu})")
-
-    def require_rotating(self, nu: float):
-        if self.is_lab or self.rot_nu != nu:
-            raise FrameError(
-                f"expected rotating({nu}) state, got "
-                f"{'lab' if self.is_lab else f'rotating({self.rot_nu})'}"
-            )
+    def dense(self) -> StateVector:
+        """The same state as 2^L amplitudes, at the same time and frame."""
+        check_state_capacity(self.L)
+        amps = np.zeros(1 << self.L, dtype=complex)
+        amps[self.amplitudes.indices] = self.amplitudes.values
+        return StateVector(amps, time=self.time, rot_nu=self.rot_nu)
 
 
 def check_state_capacity(L: int) -> None:

@@ -34,7 +34,7 @@ routes) never pay for it.  The eigh goes through the module-level name
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy
@@ -176,24 +176,25 @@ def _dense_step(p: ChainParams, pulses=()):
     return step
 
 
-def propagate_pulse(
-    psi: StateVector, pulse: Pulse, p: ChainParams, step=None
-) -> StateVector:
+def propagate_pulse(psi, pulse: Pulse, p: ChainParams, step=None):
     """Evolve a lab-frame state through one pulse.
 
-    The state must have the chain's qubit count, its clock must sit at the
-    pulse start and it must be in the lab frame; each mismatch raises
-    FrameError.  ``step(amps, pulse, to_rot, to_lab)`` takes the lab
-    amplitudes at the pulse start and returns those at its end, new
-    arrays.  It applies the frame itself: entry s enters the rotating
-    frame as ``amps[s] * to_rot[c]`` and leaves it as ``x * to_lab[c]``,
-    c the excitation count of s (:func:`frame_phase`), where ``to_rot``
-    and ``to_lab`` hold exp(-i nu t_start Sz) and exp(+i nu t_end Sz) at
-    the L + 1 levels of total spin-z, built here once a pulse.  A step on
-    rotating-frame amplitudes goes through :func:`rotating_step`, which
-    applies these levels to every entry.  The step defaults to
-    the exact dense step.  Norm conservation is enforced to 1e-10, and a
-    NaN norm fails it.
+    ``psi`` is a :class:`StateVector` or a :class:`SupportState`, and the
+    result has its form.  The state must have the chain's qubit count, its
+    clock must sit at the pulse start and it must be in the lab frame;
+    each mismatch raises FrameError.  ``step(amps, pulse, to_rot,
+    to_lab)`` takes the lab amplitudes at the pulse start, in the state's
+    form (``psi.amplitudes``: 2^L entries, or a :class:`Support`), and
+    returns those at its end in the same form, new arrays.  It applies
+    the frame itself: entry s enters the rotating frame as ``amps[s] *
+    to_rot[c]`` and leaves it as ``x * to_lab[c]``, c the excitation count
+    of s (:func:`frame_phase`), where ``to_rot`` and ``to_lab`` hold
+    exp(-i nu t_start Sz) and exp(+i nu t_end Sz) at the L + 1 levels of
+    total spin-z, built here once a pulse.  A step on rotating-frame
+    amplitudes goes through :func:`rotating_step`, which applies these
+    levels to every entry.  The step defaults to the exact dense step.
+    Norm conservation is enforced to 1e-10 on the amplitudes the step
+    returns, and a NaN norm fails it.
     """
     if step is None:
         step = _dense_step(p)
@@ -206,7 +207,8 @@ def propagate_pulse(
     psi.require_lab()
     to_rot = _frame_levels(-1j * pulse.nu * pulse.t_start, p.L)
     to_lab = _frame_levels(1j * pulse.nu * pulse.t_end, p.L)
-    out = StateVector(step(psi.amplitudes, pulse, to_rot, to_lab), time=pulse.t_end)
+    amps = step(psi.amplitudes, pulse, to_rot, to_lab)
+    out = replace(psi, amplitudes=amps, time=pulse.t_end)
     if not abs(out.norm() - 1.0) <= NORM_TOL:
         raise NumericalError(
             f"norm drifted to {out.norm():.15f} during pulse at nu={pulse.nu}"
@@ -214,9 +216,10 @@ def propagate_pulse(
     return out
 
 
-def propagate_protocol(psi0: StateVector, prot: Protocol, step) -> StateVector:
+def propagate_protocol(psi0, prot: Protocol, step):
     """Run every pulse of a protocol through :func:`propagate_pulse` with
-    one route's ``step``."""
+    one route's ``step``, on a :class:`StateVector` or a
+    :class:`SupportState`."""
     psi = psi0
     for pulse in prot.pulses:
         psi = propagate_pulse(psi, pulse, prot.params, step)

@@ -6,7 +6,10 @@ transition of each pulse act in full, while every other block contributes
 its diagonal phases with the amplitude magnitudes kept (near-resonant
 leakage zeroed).  The result has weight 1/sqrt(2) on each of
 |0...0> and the end-to-end excited string, with the phase bookkeeping that
-the pulse sequence itself implies.
+the pulse sequence itself implies.  It never holds more than one nonzero
+amplitude per pulse plus |0...0>, so it is stepped on that support and
+scattered into 2^L amplitudes only at the end; the overlap is taken over
+all 2^L entries.
 """
 
 from __future__ import annotations
@@ -17,7 +20,14 @@ from functools import partial
 
 import numpy as np
 
-from .basis import StateVector, check_state_capacity, clocks_differ, ground_state
+from .basis import (
+    StateVector,
+    Support,
+    SupportState,
+    check_state_capacity,
+    clocks_differ,
+    ground_state,
+)
 from .errors import FrameError, NumericalError, ProtocolError
 from .exact import frame_phase, propagate_protocol, run_protocol
 # Unused frame transforms stay imported: bench/tracing.py patches them here.
@@ -30,7 +40,7 @@ from .protocol import (
     build_entanglement_protocol,
     spectator_detunings,
 )
-from .hamiltonian import ChainParams
+from .hamiltonian import ChainParams, rotating_energies
 
 
 def dynamical_fidelity(psi_i: StateVector, psi_r: StateVector) -> float:
@@ -44,37 +54,50 @@ def dynamical_fidelity(psi_i: StateVector, psi_r: StateVector) -> float:
     return float(abs(np.vdot(psi_i.amplitudes, psi_r.amplitudes)) ** 2)
 
 
-def _ideal_step(p: ChainParams, amps: np.ndarray, pulse: Pulse, to_rot, to_lab) -> np.ndarray:
-    """The ideal state's pulse step on lab amplitudes, under the driver's
-    contract (:func:`exact.propagate_pulse`): the block phases of the
-    blocks that hold amplitude, the intended pair's transition in full,
-    and the frame phases of those entries alone."""
+def _at(support: Support, states: np.ndarray) -> np.ndarray:
+    """The amplitudes of ``states`` in ``support``, zero where it lists none."""
+    idx, vals = support
+    pos = idx.searchsorted(states)
+    hit = idx.take(pos, mode="clip") == states
+    return np.where(hit, vals.take(pos, mode="clip"), 0j)
+
+
+def _ideal_step(p: ChainParams, amps: Support, pulse: Pulse, to_rot, to_lab) -> Support:
+    """The ideal state's pulse step on its lab-frame support, under the
+    driver's contract (:func:`exact.propagate_pulse`): the block phases of
+    the blocks that hold amplitude, the intended pair's transition in
+    full, and the frame phases of those entries alone.  Returns the
+    support of the result: the blocks' entries and the intended pair that
+    are nonzero, in ascending order."""
     src, k = pulse.target
     tgt = src.index ^ (1 << k)
     mm, pp = min(src.index, tgt), max(src.index, tgt)
-    part = partition_blocks(pulse, p, np.flatnonzero(amps != 0))
-    out = np.zeros_like(amps)
+    part = partition_blocks(pulse, p, amps.indices)
     tau = pulse.duration
     # Every live block contributes phases only, magnitudes kept.
     m, q, s = part.m_idx, part.p_idx, part.singletons
-    e_m, e_q = part.e_rot[m], part.e_rot[q]
-    u11, _, _, u22 = _block_u(pulse.Omega, e_q - e_m, tau, e_m, e_q)
+    u11, _, _, u22 = _block_u(pulse.Omega, part.e_p - part.e_m, tau, part.e_m, part.e_p)
     live = np.concatenate((m, q, s))
     phase = np.concatenate(
-        (u11 / np.abs(u11), u22 / np.abs(u22), np.exp(-1j * part.e_rot[s] * tau))
+        (u11 / np.abs(u11), u22 / np.abs(u22), np.exp(-1j * part.e_single * tau))
     )
-    counts = np.bitwise_count(live)
-    x = frame_phase(amps[live], counts, to_rot)
-    out[live] = frame_phase(x * phase, counts, to_lab)
-    # The intended transition acts in full (resonant by construction).
-    d = part.e_rot[pp] - part.e_rot[mm]
-    v11, v12, v21, v22 = _block_u(pulse.Omega, d, tau, part.e_rot[mm], part.e_rot[pp])
     ends = np.array([mm, pp])
-    counts = np.bitwise_count(ends)
-    am, ap = frame_phase(amps[ends], counts, to_rot)
-    y = np.array([v11 * am + v12 * ap, v21 * am + v22 * ap])
-    out[ends] = frame_phase(y, counts, to_lab)
-    return out
+    states = np.concatenate((live, ends))
+    counts = np.bitwise_count(states)
+    x = frame_phase(_at(amps, states), counts, to_rot)
+    n = len(live)
+    out = frame_phase(x[:n] * phase, counts[:n], to_lab)
+    # The intended transition acts in full (resonant by construction).
+    e_mm, e_pp = rotating_energies(p, pulse.nu, ends)
+    v11, v12, v21, v22 = _block_u(pulse.Omega, e_pp - e_mm, tau, e_mm, e_pp)
+    am, ap = x[n:]
+    y = frame_phase(np.array([v11 * am + v12 * ap, v21 * am + v22 * ap]), counts[n:], to_lab)
+    order = states.argsort(kind="stable")
+    idx, vals = states[order], np.concatenate((out, y))[order]
+    # A state listed twice keeps its second value, the intended pair's.
+    keep = vals != 0
+    keep[:-1] &= idx[:-1] != idx[1:]
+    return Support(idx[keep], vals[keep])
 
 
 def build_ideal_state(prot: Protocol) -> StateVector:
@@ -82,18 +105,22 @@ def build_ideal_state(prot: Protocol) -> StateVector:
 
     The state starts as |0...0> and each pulse's intended transition adds
     at most one nonzero amplitude, so it never holds more than
-    ``len(prot.pulses) + 1`` of them.  Each step therefore asks
+    ``len(prot.pulses) + 1`` of them.  The walk is therefore stepped on
+    that support (:class:`SupportState`): each step asks
     :func:`partition_blocks` for the blocks that hold a nonzero amplitude
-    alone, and evaluates the block phases and singleton exponentials, and
-    applies the frame phases, only for those blocks and the intended
-    pair; every other entry is zero and stays zero.
+    alone, which reads the rotating energies of those states and their
+    flips and no 2^L table, and evaluates the block phases, singleton
+    exponentials and frame phases only for those blocks and the intended
+    pair.  The result is scattered into 2^L amplitudes once, at the end.
     """
     if prot.kind != ENTANGLE_KIND or any(pu.target is None for pu in prot.pulses):
         raise ProtocolError(
             "the ideal state is defined for the built-in entanglement walk"
         )
     p = prot.params
-    return propagate_protocol(ground_state(p.L), prot, partial(_ideal_step, p))
+    check_state_capacity(p.L)
+    ground = SupportState(Support(np.zeros(1, dtype=np.intp), np.ones(1, dtype=complex)), p.L)
+    return propagate_protocol(ground, prot, partial(_ideal_step, p)).dense()
 
 
 @dataclass(frozen=True)

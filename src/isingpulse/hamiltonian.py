@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import total_spin_z
+from .basis import spin_z_levels, total_spin_z
 
 
 @dataclass(frozen=True)
@@ -116,6 +116,26 @@ def rotating_energy_table(p: ChainParams, nu: float) -> np.ndarray:
     one O(2^L) multiply-add; the result is a fresh array.
     """
     return _static_energy_table(p) + nu * total_spin_z(p.L)
+
+
+def rotating_energies(p: ChainParams, nu: float, states: np.ndarray) -> np.ndarray:
+    """The entries of :func:`rotating_energy_table` at the basis states
+    ``states``, in O(len(states)): each is the static table's entry plus
+    nu times the state's spin-z level, the table's own two float
+    operations, so the two agree bit for bit.  The states are not checked."""
+    levels = spin_z_levels(p.L)[np.bitwise_count(states)]
+    return _static_energy_table(p)[states] + nu * levels
+
+
+def rotating_energy_halves(p: ChainParams, nu: float, bit: int):
+    """The entries of :func:`rotating_energy_table` split by one bit: two
+    (2^L / 2 bit, bit) arrays, those of the states with the bit clear and
+    those of their flips, each in ascending order of state.  The table's
+    own float operations on views of its two cached inputs, so the entries
+    agree bit for bit; the table itself is never built."""
+    e0 = _static_energy_table(p).reshape(-1, 2, bit)
+    sz = total_spin_z(p.L).reshape(-1, 2, bit)
+    return e0[:, 0] + nu * sz[:, 0], e0[:, 1] + nu * sz[:, 1]
 
 
 @dataclass(frozen=True)

@@ -8,11 +8,11 @@ omega_k - nu give or take 2J from its neighbours, so only the qubits with
 the partition then costs O(2^L) and needs no sort.  Pairs come in ascending
 index of their lower state; |detuning| order is used only inside the
 greedy matching of two or more qubits' candidates, built in rounds of
-array operations.  A pair is two indices into the partition's rotating
-energy table ``e_rot``, the one source of every pair energy: a pair's
-detuning is the difference of its two entries, formed where it is used.
-Every consumer gathers and scatters the pairs by index, so their order
-changes no result.  Each pair's 2x2 block is diagonalised in closed form
+array operations.  A pair is two basis states and their rotating-frame
+energies, each the rotating energy table's entry at its state, bit for
+bit; a pair's detuning is the difference of the two, formed where it is
+used.  Every consumer gathers and scatters the pairs by index, so their
+order changes no result.  Each pair's 2x2 block is diagonalised in closed form
 by a (c, s) rotation W, applied by gathering the pair's two amplitudes;
 singletons keep their diagonal energy.  The block step is
 W e^{-i eps0 tau} W^T; the pulse loop, with its clock check, lab-frame
@@ -25,8 +25,11 @@ alone, as it gathers and scatters them; every other entry stays the zero
 that the dense form also gives.  It asks :func:`partition_blocks` for
 just those blocks (the ``live`` argument), as the ideal state does.  On a
 walk pulse the partition then pairs only the live states with their flips
-of the one qubit in reach, and never builds the other pairs; a whole
-partition is the same scan with every state live.  In the selective
+of the one qubit in reach and reads their energies alone, in O(live): no
+2^L table, mask or scan.  In the selective regime the live set needs no
+sort either, since it is closed under the flips of the qubits the walk
+has reached, and a new qubit's bit is clear in every live state.  A whole
+partition reads the table split by that qubit's bit.  In the selective
 regime the state reaches new basis states only as the walk reaches new
 qubits: at L = 8, J = 1.945 it holds 2, 4, 8, 8, 16, 16, ... 256 nonzero
 amplitudes after successive pulses, so the early pulses of a walk touch a
@@ -101,13 +104,22 @@ from .basis import StateVector
 from .exact import _SharedByKey, frame_phase, propagate_protocol, rotating_step
 # Unused frame transforms stay imported: bench/tracing.py patches them here.
 from .exact import from_rotating, to_rotating  # noqa: F401
-from .hamiltonian import ChainParams, rotating_energy_table
+from .hamiltonian import (
+    ChainParams,
+    rotating_energies,
+    rotating_energy_halves,
+    rotating_energy_table,
+)
 from .protocol import Protocol, Pulse
 
 log = logging.getLogger(__name__)
 
 ORDER_BLOCK = "block"
 ORDER_BLOCK_PT1 = "block+pt1"
+
+_EPS = np.finfo(float).eps
+_NO_STATES = np.empty(0, dtype=np.intp)
+_NO_ENERGIES = np.empty(0)
 
 
 def default_threshold(p: ChainParams) -> float:
@@ -139,15 +151,17 @@ def _block_u(Omega, Delta, tau, e_m, e_p):
     theta = 0.5 * lam * tau
     cos = np.cos(theta)
     sin = np.sin(theta)
-    # lam -> 0 limits: sin(theta)*D/lam -> D*tau/2 = 0, same for Omega term.
-    safe = np.where(lam > 0.0, lam, 1.0)
-    dl = np.where(lam > 0.0, Delta / safe, 0.0)
-    ol = np.where(lam > 0.0, Omega / safe, 0.0)
+    if Omega:
+        dl, ol = Delta / lam, Omega / lam
+    else:
+        # Undriven, lam = |D|; its lam -> 0 limit: sin(theta)*D/lam -> D*tau/2 = 0.
+        dl, ol = np.sign(Delta), np.zeros_like(lam)
     ph_m = np.exp(-0.5j * Delta * tau - 1j * np.asarray(e_m) * tau)
     ph_p = np.exp(+0.5j * Delta * tau - 1j * np.asarray(e_p) * tau)
     u11 = (cos + 1j * dl * sin) * ph_m
-    u12 = (1j * ol * sin) * ph_m
-    u21 = (1j * ol * sin) * ph_p
+    off = 1j * ol * sin
+    u12 = off * ph_m
+    u21 = off * ph_p
     u22 = (cos - 1j * dl * sin) * ph_p
     return u11, u12, u21, u22
 
@@ -157,11 +171,13 @@ class BlockPartition:
     """Partition of the basis into two-level pairs and singletons, or the
     blocks of one that hold a given set of live states.
 
-    Array view: a pair is two indices into ``e_rot``, the rotating-frame
-    energies of all 2^L states: ``m_idx`` (the state with the flipped bit
-    clear) in strictly ascending order and ``p_idx``.  A pair's detuning
-    is ``e_rot[p_idx] - e_rot[m_idx]``.  ``singletons`` lists the leftover
-    states in ascending order.  ``n_conflicts`` counts states whose
+    Array view: a pair is two basis states, ``m_idx`` (the state with the
+    flipped bit clear) in strictly ascending order and ``p_idx``, with
+    their rotating-frame energies ``e_m`` and ``e_p``; its detuning is
+    ``e_p - e_m``.  ``singletons`` lists the leftover states in ascending
+    order, with their energies ``e_single``.  Each energy is the entry of
+    :func:`rotating_energy_table` at its state, bit for bit, and the
+    partition carries no other.  ``n_conflicts`` counts states whose
     closest in-threshold partner ended up paired elsewhere (resolved by
     the greedy matching of two or more qubits' candidates, the one place
     where pairs are ordered by |delta|); it is the whole partition's
@@ -172,7 +188,9 @@ class BlockPartition:
     m_idx: np.ndarray
     p_idx: np.ndarray
     singletons: np.ndarray
-    e_rot: np.ndarray
+    e_m: np.ndarray
+    e_p: np.ndarray
+    e_single: np.ndarray
     n_conflicts: int
 
 
@@ -229,22 +247,90 @@ def _reach(p: ChainParams, nu: float) -> list[int]:
     """
     L = p.L
     omegas = [p.omega(k) for k in range(L)]
-    scale = sum(abs(w) for w in omegas) + L * (p.J + abs(nu))
-    slack = 4 * (L + 1) * np.finfo(float).eps * scale
+    scale = sum(map(abs, omegas)) + L * (p.J + abs(nu))
+    slack = 4 * (L + 1) * _EPS * scale
     reach = default_threshold(p) + 2.0 * p.J + slack
     return [k for k, w in enumerate(omegas) if abs(w - nu) <= reach]
 
 
-def _flip_candidates(e_rot, k, threshold, states):
-    """The in-threshold flips of qubit k that hold one of ``states``, as
-    (m, p) in ascending m, where m has bit k clear and p = m ^ 2^k."""
-    bit = 1 << k
-    # A state and its partner, both given, give the same m once.
-    clear = np.zeros(len(e_rot), dtype=bool)
-    clear[states & ~bit] = True
-    lo = np.flatnonzero(clear)
-    lo = lo[np.abs(e_rot[lo | bit] - e_rot[lo]) <= threshold]
-    return lo, lo ^ bit
+def _flip_candidates(e_rot, bit, threshold):
+    """The in-threshold flips of one bit over the whole basis, as (m, p)
+    in ascending m, where m has the bit clear and p = m ^ bit."""
+    # Axis 1 of this view is the bit: [:, 0] holds the states with it
+    # clear, in ascending order, and [:, 1] their flip partners.
+    e = e_rot.reshape(-1, 2, bit)
+    lo = np.flatnonzero(np.abs(e[:, 1] - e[:, 0]) <= threshold)
+    # Entry f of [:, 0] is state (f // bit) * 2 bit + f % bit.
+    lo += lo & -bit
+    return lo, lo | bit
+
+
+def _one_qubit_partition(p: ChainParams, nu: float, bit: int, threshold):
+    """The whole partition with one qubit in reach: every state with the
+    bit clear against its flip, read off the rotating energies split by
+    that bit (:func:`rotating_energy_halves`), so the pairs' energies come
+    in pair order and no table, mask or sort is built."""
+    e_m, e_p = rotating_energy_halves(p, nu, bit)
+    d = e_p - e_m
+    keep = np.abs(d, out=d) <= threshold
+    del d
+    m = np.arange(0, 1 << p.L, 2 * bit)[:, None] + np.arange(bit)
+    if keep.all():
+        m, e_m, e_p = m.ravel(), e_m.ravel(), e_p.ravel()
+        singletons, e_single = _NO_STATES, _NO_ENERGIES
+    else:
+        m, e_m, e_p = m[keep], e_m[keep], e_p[keep]
+        singletons = np.flatnonzero(np.stack((~keep, ~keep), axis=1))
+        e_single = rotating_energies(p, nu, singletons)
+    return BlockPartition(p.L, m, m | bit, singletons, e_m, e_p, e_single, 0)
+
+
+def _live_partition(p: ChainParams, nu: float, reach, threshold, states):
+    """:func:`partition_blocks` given the live ``states``, with at most one
+    qubit in ``reach``, in O(len(states)): no 2^L array, no table.
+
+    Each live state's block is its flip of that qubit, a pair when their
+    detuning is within ``threshold``; the energies are read only at the
+    live states and the flips they need (:func:`rotating_energies`).  The
+    pairs' m come deduplicated in ascending order without a sort while no
+    live state has the bit set (a pulse on a qubit the state has not
+    reached) or every live state's flip is live too (one the state has
+    reached, in the selective regime); otherwise they are sorted.
+    """
+    if not reach:
+        e_s = rotating_energies(p, nu, states)
+        return BlockPartition(
+            p.L, _NO_STATES, _NO_STATES, states, _NO_ENERGIES, _NO_ENERGIES, e_s, 0
+        )
+    bit = 1 << reach[0]
+    m = states & ~bit
+    up = m != states
+    n_up = np.count_nonzero(up)
+    if not n_up:
+        e_m = e_s = rotating_energies(p, nu, m)
+        e_p = rotating_energies(p, nu, m | bit)
+        ok = np.abs(e_p - e_m) <= threshold
+        single = ~ok
+    elif 2 * n_up == len(states) and np.array_equal(lo := m[~up], m[up]):
+        m = lo
+        e_s = rotating_energies(p, nu, states)
+        e_m, e_p = e_s[~up], e_s[up]
+        ok = np.abs(e_p - e_m) <= threshold
+        single = np.empty(len(states), dtype=bool)
+        single[~up] = single[up] = ~ok
+    else:
+        # Each state's pair; a live state and its live flip give it twice.
+        n = len(states)
+        e = rotating_energies(p, nu, np.concatenate((m, m | bit)))
+        e_m, e_p = e[:n], e[n:]
+        ok = np.abs(e_p - e_m) <= threshold
+        single = ~ok
+        e_s = np.where(up, e_p, e_m)
+        order = m.argsort(kind="stable")
+        m, e_m, e_p, ok = m[order], e_m[order], e_p[order], ok[order]
+        ok[1:] &= m[1:] != m[:-1]
+    m = m[ok]
+    return BlockPartition(p.L, m, m | bit, states[single], e_m[ok], e_p[ok], e_s[single], 0)
 
 
 def partition_blocks(pulse: Pulse, p: ChainParams, live=None) -> BlockPartition:
@@ -255,14 +341,15 @@ def partition_blocks(pulse: Pulse, p: ChainParams, live=None) -> BlockPartition:
     Candidate pairs are the single-flip pairs whose rotating-frame detuning
     has magnitude at most :func:`default_threshold` (a/2).  Only the qubits
     in :func:`_reach` are scanned, one on a walk pulse while 8J < a and
-    none when nu is far from every site frequency, so a call costs O(2^L)
-    and needs no sort.  Pairs come in ascending ``m_idx``.
+    none when nu is far from every site frequency, so a whole partition
+    costs O(2^L) and needs no sort.  Pairs come in ascending ``m_idx``.
 
-    Without ``live`` every state is live.  One qubit's candidates
-    already come in that order and share no state, so each state has at
-    most one candidate, its flip of that qubit, and the partition reads
-    the table only at the live states and their flips.  With two or more
-    qubits in reach every state is scanned, and the candidates are
+    With one qubit in reach each state has at most one candidate, its flip
+    of that qubit, and the candidates form a matching.  Given ``live``,
+    the partition then reads rotating energies only at the live states
+    and their flips and builds no 2^L array (:func:`_live_partition`);
+    without, it scans the whole table through a reshaped view.  With two
+    or more qubits in reach every state is scanned, and the candidates are
     matched greedily in order of increasing |detuning|, ties broken by
     state indices, a state keeping its best partner that is still free
     (:func:`_greedy_partition`, in rounds).  Candidates that already form
@@ -273,41 +360,47 @@ def partition_blocks(pulse: Pulse, p: ChainParams, live=None) -> BlockPartition:
     singleton.  Flips outside the threshold take no part in that count:
     they cannot put a state in threshold, nor tie with an in-threshold
     |detuning|.  The pairs are then sorted by m, and the blocks that hold
-    a live state are kept.  ``e_rot`` is the whole table either way.
+    a live state are kept.  Either way each block carries the energies of
+    its states.
     """
     threshold = default_threshold(p)
-    L, n = p.L, 1 << p.L
-    e_rot = rotating_energy_table(p, pulse.nu)
-    states = np.arange(n) if live is None else live
     reach = _reach(p, pulse.nu)
-    # One qubit's candidates form a matching, so each live state's own
-    # flip decides its block; otherwise the live blocks are selected below.
-    scan = states if len(reach) == 1 else np.arange(n)
-    cands = [_flip_candidates(e_rot, k, threshold, scan) for k in reach]
+    if live is not None and len(reach) < 2:
+        return _live_partition(p, pulse.nu, reach, threshold, live)
+    if len(reach) == 1:
+        return _one_qubit_partition(p, pulse.nu, 1 << reach[0], threshold)
+    e_rot = rotating_energy_table(p, pulse.nu)
+    n = len(e_rot)
+    cands = [_flip_candidates(e_rot, 1 << k, threshold) for k in reach]
 
     n_conflicts = 0
     if not cands:
-        m_idx = p_idx = np.empty(0, dtype=np.intp)
-    elif len(cands) == 1:
-        m_idx, p_idx = cands[0]
+        m_idx = p_idx = _NO_STATES
     else:
         cand_m, cand_p = (np.concatenate(c) for c in zip(*cands))
         m_idx, p_idx, n_conflicts = _greedy_partition(cand_m, cand_p, e_rot, n)
         # A matching holds each m once, so this order is unique.
         order = np.argsort(m_idx)
         m_idx, p_idx = m_idx[order], p_idx[order]
+    if 2 * len(m_idx) == n:
+        singletons = _NO_STATES
+    else:
+        taken = np.zeros(n, dtype=bool)
+        taken[m_idx] = taken[p_idx] = True
+        singletons = np.flatnonzero(~taken) if live is None else live[~taken[live]]
+    if live is not None:
         held = np.zeros(n, dtype=bool)
-        held[states] = True
+        held[live] = True
         held = held[m_idx] | held[p_idx]
         m_idx, p_idx = m_idx[held], p_idx[held]
-    taken = np.zeros(n, dtype=bool)
-    taken[m_idx] = taken[p_idx] = True
     return BlockPartition(
-        L=L,
+        L=p.L,
         m_idx=m_idx,
         p_idx=p_idx,
-        singletons=states[~taken[states]],
-        e_rot=e_rot,
+        singletons=singletons,
+        e_m=e_rot[m_idx],
+        e_p=e_rot[p_idx],
+        e_single=e_rot[singletons],
         n_conflicts=n_conflicts,
     )
 
@@ -326,7 +419,8 @@ class _Generator(NamedTuple):
 
 
 def _block_rotation(part: BlockPartition, Omega: float):
-    """Analytic eigensystem of the block Hamiltonian, in basis-index slots.
+    """Analytic eigensystem of the block Hamiltonian of a whole partition,
+    in basis-index slots.
 
     Slot m of a pair holds the lower eigenvalue of its 2x2 block, with
     eigenvector c|m> + s|p>, and slot p the upper one, with -s|m> + c|p>,
@@ -334,9 +428,9 @@ def _block_rotation(part: BlockPartition, Omega: float):
     Singletons keep their diagonal energy and basis vector.  These columns
     form the orthogonal W; returns (eps0, c, s) with c, s per pair.
     """
-    m, p = part.m_idx, part.p_idx
-    eps0 = part.e_rot.copy()
-    eps0[m], eps0[p], c, s = _pair_eigen(Omega, part.e_rot[m], part.e_rot[p])
+    eps0 = np.empty(1 << part.L)
+    eps0[part.singletons] = part.e_single
+    eps0[part.m_idx], eps0[part.p_idx], c, s = _pair_eigen(Omega, part.e_m, part.e_p)
     return eps0, c, s
 
 
@@ -382,7 +476,7 @@ def _block_step(part: BlockPartition, Omega: float, tau: float, amps, to_rot, to
     # A pair's p state holds one more excitation than its m state.
     cm = np.bitwise_count(m)
     cp = cm + 1
-    eps_m, eps_p, c, s = _pair_eigen(Omega, part.e_rot[m], part.e_rot[p])
+    eps_m, eps_p, c, s = _pair_eigen(Omega, part.e_m, part.e_p)
     ym, yp = _turn(
         c, s, frame_phase(amps[m], cm, to_rot), frame_phase(amps[p], cp, to_rot)
     )
@@ -398,7 +492,7 @@ def _block_step(part: BlockPartition, Omega: float, tau: float, amps, to_rot, to
     out[p] = frame_phase(zp, cp, to_lab)
     cs = np.bitwise_count(single)
     x = frame_phase(amps[single], cs, to_rot)
-    out[single] = frame_phase(np.exp(-1j * part.e_rot[single] * tau) * x, cs, to_lab)
+    out[single] = frame_phase(np.exp(-1j * part.e_single * tau) * x, cs, to_lab)
     return out
 
 

@@ -2,7 +2,8 @@
 
 The package does not compute the quantities itself; each is written here
 from its definition.  The reference steps select the live blocks from the
-whole partition, the form the package's steps replaced, and
+whole partition, the form the package's steps replaced (the ideal one on
+2^L amplitudes with every energy read from the whole table), and
 :func:`full_array_step` frames a step with one exponential per basis
 state, not with the pulse driver's L + 1 frame levels.
 """
@@ -15,7 +16,7 @@ import numpy as np
 
 from isingpulse import BasisState, ChainParams, h0_energy_table
 from isingpulse.exact import frame_phase
-from isingpulse.hamiltonian import RotFrameHam
+from isingpulse.hamiltonian import RotFrameHam, rotating_energy_table
 from isingpulse.pert import BlockPartition, _block_step, _block_u, partition_blocks
 from isingpulse.protocol import Protocol, _canonical_pair
 
@@ -81,8 +82,8 @@ def eta_param(Omega: float, a: float) -> float:
 
 
 def pair_delta(part: BlockPartition) -> np.ndarray:
-    """Rotating-frame detuning of each pair, e_rot[p] - e_rot[m]."""
-    return part.e_rot[part.p_idx] - part.e_rot[part.m_idx]
+    """Rotating-frame detuning of each pair, e_p - e_m."""
+    return part.e_p - part.e_m
 
 
 def greedy_matching(order, cand_m, cand_p):
@@ -122,11 +123,15 @@ def live_blocks(part: BlockPartition, amps: np.ndarray) -> BlockPartition:
     entry of ``amps``, selected by masks over every block."""
     live = amps != 0
     pairs = live[part.m_idx] | live[part.p_idx]
+    single = live[part.singletons]
     return dataclasses.replace(
         part,
         m_idx=part.m_idx[pairs],
         p_idx=part.p_idx[pairs],
-        singletons=part.singletons[live[part.singletons]],
+        singletons=part.singletons[single],
+        e_m=part.e_m[pairs],
+        e_p=part.e_p[pairs],
+        e_single=part.e_single[single],
     )
 
 
@@ -137,33 +142,44 @@ def reference_block_step(p: ChainParams, amps, pulse, to_rot, to_lab):
 
 
 def reference_ideal_step(p: ChainParams, amps, pulse, to_rot, to_lab):
-    """The ideal state's step on the live blocks of the whole partition:
-    the block phases of those blocks, then the intended pair's transition
-    in full, each entry framed where it is gathered."""
+    """The ideal state's step on 2^L amplitudes and the live blocks of the
+    whole partition, with every energy read from the whole rotating
+    table: the block phases of those blocks, then the intended pair's
+    transition in full, each entry framed where it is gathered."""
     src, k = pulse.target
     tgt = src.index ^ (1 << k)
     mm, pp = min(src.index, tgt), max(src.index, tgt)
     part = live_blocks(partition_blocks(pulse, p), amps)
+    e_rot = rotating_energy_table(p, pulse.nu)
     out = np.zeros_like(amps)
     tau = pulse.duration
     m, q, s = part.m_idx, part.p_idx, part.singletons
-    e_m, e_q = part.e_rot[m], part.e_rot[q]
+    e_m, e_q = e_rot[m], e_rot[q]
     u11, _, _, u22 = _block_u(pulse.Omega, e_q - e_m, tau, e_m, e_q)
     live = np.concatenate((m, q, s))
     phase = np.concatenate(
-        (u11 / np.abs(u11), u22 / np.abs(u22), np.exp(-1j * part.e_rot[s] * tau))
+        (u11 / np.abs(u11), u22 / np.abs(u22), np.exp(-1j * e_rot[s] * tau))
     )
     counts = np.bitwise_count(live)
     x = frame_phase(amps[live], counts, to_rot)
     out[live] = frame_phase(x * phase, counts, to_lab)
-    d = part.e_rot[pp] - part.e_rot[mm]
-    v11, v12, v21, v22 = _block_u(pulse.Omega, d, tau, part.e_rot[mm], part.e_rot[pp])
+    d = e_rot[pp] - e_rot[mm]
+    v11, v12, v21, v22 = _block_u(pulse.Omega, d, tau, e_rot[mm], e_rot[pp])
     ends = np.array([mm, pp])
     counts = np.bitwise_count(ends)
     am, ap = frame_phase(amps[ends], counts, to_rot)
     y = np.array([v11 * am + v12 * ap, v21 * am + v22 * ap])
     out[ends] = frame_phase(y, counts, to_lab)
     return out
+
+
+def assert_energies_from_table(part: BlockPartition, p: ChainParams, nu: float):
+    """Each energy a partition carries is the whole rotating energy
+    table's entry at its state, bit for bit."""
+    e_rot = rotating_energy_table(p, nu)
+    for states, e in ((part.m_idx, part.e_m), (part.p_idx, part.e_p),
+                      (part.singletons, part.e_single)):
+        assert e.dtype == e_rot.dtype and e.tobytes() == e_rot[states].tobytes()
 
 
 def protocol_target_index(prot: Protocol) -> int:

@@ -16,7 +16,7 @@ from isingpulse import (
     ground_state,
     propagate_pulse,
 )
-from isingpulse.basis import clocks_differ, total_spin_z
+from isingpulse.basis import Support, SupportState, clocks_differ, total_spin_z
 from isingpulse.exact import rotating_step
 from isingpulse.protocol import Protocol
 
@@ -139,6 +139,39 @@ def test_frame_contract_helpers():
         rot.require_lab()
     with pytest.raises(FrameError):
         rot.require_rotating(2.6)
+
+
+@pytest.mark.parametrize("step", [1, 2], ids=["contiguous", "strided"])
+def test_norm_agrees_with_linalg_norm(step):
+    # The norm reads the amplitudes as one float vector; a strided view is
+    # copied first.
+    rng = np.random.default_rng(step)
+    raw = rng.normal(size=2 << 12) + 1j * rng.normal(size=2 << 12)
+    amps = raw[::step]
+    want = np.linalg.norm(amps)
+    assert StateVector(amps).norm() == pytest.approx(want, rel=1e-14)
+    idx = np.arange(0, len(amps), 3)
+    sup = SupportState(Support(idx, amps[idx]), L=StateVector(amps).L)
+    assert sup.norm() == pytest.approx(np.linalg.norm(amps[idx]), rel=1e-14)
+    amps[5] = np.nan
+    assert np.isnan(StateVector(amps).norm())
+
+
+def test_support_state_scatters_into_its_state_vector():
+    sup = SupportState(Support(np.array([0, 5]), np.array([0.6, 0.8j])), L=3,
+                       time=2.5, rot_nu=1.5)
+    psi = sup.dense()
+    assert psi.L == 3 and psi.time == 2.5 and psi.rot_nu == 1.5
+    assert np.array_equal(psi.amplitudes, [0.6, 0, 0, 0, 0, 0.8j, 0, 0])
+    assert sup.norm() == pytest.approx(1.0, abs=1e-15) and not sup.is_lab
+    with pytest.raises(FrameError):
+        sup.require_lab()
+    with pytest.raises(CapacityError):
+        SupportState(Support(np.array([0]), np.array([1.0])), L=21).dense()
+    with pytest.raises(ValueError, match="one length"):
+        SupportState(Support(np.array([0, 1]), np.array([1.0])), L=3)
+    with pytest.raises(ValueError, match="at least one qubit"):
+        SupportState(Support(np.array([0]), np.array([1.0])), L=0)
 
 
 @pytest.mark.parametrize("L", range(1, 7))

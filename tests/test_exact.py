@@ -26,6 +26,7 @@ from isingpulse import (
     to_rotating,
 )
 from isingpulse import exact, fidelity, pert
+from isingpulse.basis import Support, SupportState
 from isingpulse.exact import PulsePropagator, propagate_protocol, rotating_step
 from isingpulse.hamiltonian import RotFrameHam
 from isingpulse.pert import _block_step, partition_blocks
@@ -238,12 +239,21 @@ def test_state_with_wrong_qubit_count_is_refused(run):
         run(ground_state(3), prot)
 
 
+def _on_support(psi):
+    """The same state as a SupportState: its nonzero entries, its clock and
+    its frame."""
+    idx = np.flatnonzero(psi.amplitudes)
+    return SupportState(
+        Support(idx, psi.amplitudes[idx]), psi.L, time=psi.time, rot_nu=psi.rot_nu
+    )
+
+
 ROUTES = {
     "exact": run_protocol,
     "block": lambda psi, prot: run_protocol_pert(psi, prot, "block"),
     "block+pt1": lambda psi, prot: run_protocol_pert(psi, prot, "block+pt1"),
     "ideal": lambda psi, prot: propagate_protocol(
-        psi, prot, partial(fidelity._ideal_step, prot.params)
+        _on_support(psi), prot, partial(fidelity._ideal_step, prot.params)
     ),
 }
 
@@ -252,7 +262,7 @@ ROUTES = {
 def test_every_route_refuses_a_rotating_state_and_a_stale_or_nan_clock(route):
     # Each step applies the frame itself, so the driver alone stands
     # between it and a state that is not in the lab frame at the pulse
-    # start.
+    # start.  The ideal step takes the state on its support.
     prot = build_entanglement_protocol(ChainParams(L=4, a=100.0, J=1.945), 0.118)
     amps = ground_state(4).amplitudes
     for psi, match in (
@@ -272,7 +282,8 @@ def test_frame_at_the_gather_equals_full_array_transforms(L):
     # size at L = 16.  The references run the same steps on rotating-frame
     # amplitudes between full-array transforms with one exponential per
     # basis state (chain_helpers.full_array_step), with unit frame levels,
-    # a product that is exact.
+    # a product that is exact.  The ideal step runs on the support of the
+    # rotating-frame amplitudes there, scattered back into 2^L entries.
     p = ChainParams(L=L, a=100.0, J=1.945)
     prot = build_entanglement_protocol(p, 0.118)
     one = np.ones(L + 1, dtype=complex)
@@ -284,7 +295,11 @@ def test_frame_at_the_gather_equals_full_array_transforms(L):
 
     @full_array_step
     def ideal(amps, pulse):
-        return fidelity._ideal_step(p, amps, pulse, one, one)
+        idx = np.flatnonzero(amps)
+        support = fidelity._ideal_step(p, Support(idx, amps[idx]), pulse, one, one)
+        out = np.zeros_like(amps)
+        out[support.indices] = support.values
+        return out
 
     got = run_protocol_pert(ground_state(L), prot, "block").amplitudes
     want = propagate_protocol(ground_state(L), prot, block).amplitudes

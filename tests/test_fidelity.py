@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -21,11 +23,13 @@ from isingpulse import (
     two_pi_k_omega,
 )
 from isingpulse import fidelity
+from isingpulse.basis import Support, SupportState
 from isingpulse.exact import propagate_protocol, rotating_step
+from isingpulse.hamiltonian import rotating_energy_table
 from isingpulse.pert import _block_u, partition_blocks
 from isingpulse.protocol import Protocol
 
-from chain_helpers import eta_param, pair_delta, protocol_target_index
+from chain_helpers import eta_param, pair_delta, protocol_target_index, reference_ideal_step
 
 P6 = ChainParams(L=6, omega0=0.0, a=100.0, J=1.0)
 
@@ -96,17 +100,18 @@ def _reference_ideal_state(prot):
         tgt = src.index ^ (1 << k)
         mm, pp = min(src.index, tgt), max(src.index, tgt)
         part = partition_blocks(pulse, p)
+        e_rot = rotating_energy_table(p, pulse.nu)
         out = amps.copy()
         tau = pulse.duration
         u11, _, _, u22 = _block_u(
-            pulse.Omega, pair_delta(part), tau, part.e_rot[part.m_idx], part.e_rot[part.p_idx]
+            pulse.Omega, pair_delta(part), tau, e_rot[part.m_idx], e_rot[part.p_idx]
         )
         out[part.m_idx] = amps[part.m_idx] * np.exp(1j * np.angle(u11))
         out[part.p_idx] = amps[part.p_idx] * np.exp(1j * np.angle(u22))
         s = part.singletons
-        out[s] = amps[s] * np.exp(-1j * part.e_rot[s] * tau)
-        d = part.e_rot[pp] - part.e_rot[mm]
-        v11, v12, v21, v22 = _block_u(pulse.Omega, d, tau, part.e_rot[mm], part.e_rot[pp])
+        out[s] = amps[s] * np.exp(-1j * e_rot[s] * tau)
+        d = e_rot[pp] - e_rot[mm]
+        v11, v12, v21, v22 = _block_u(pulse.Omega, d, tau, e_rot[mm], e_rot[pp])
         am, ap = amps[mm], amps[pp]
         out[mm] = v11 * am + v12 * ap
         out[pp] = v21 * am + v22 * ap
@@ -139,17 +144,18 @@ def _all_blocks_ideal_state(prot):
         tgt = src.index ^ (1 << k)
         mm, pp = min(src.index, tgt), max(src.index, tgt)
         part = partition_blocks(pulse, p)
+        e_rot = rotating_energy_table(p, pulse.nu)
         out = amps.copy()
         tau = pulse.duration
         u11, _, _, u22 = _block_u(
-            pulse.Omega, pair_delta(part), tau, part.e_rot[part.m_idx], part.e_rot[part.p_idx]
+            pulse.Omega, pair_delta(part), tau, e_rot[part.m_idx], e_rot[part.p_idx]
         )
         out[part.m_idx] = amps[part.m_idx] * (u11 / np.abs(u11))
         out[part.p_idx] = amps[part.p_idx] * (u22 / np.abs(u22))
         s = part.singletons
-        out[s] = amps[s] * np.exp(-1j * part.e_rot[s] * tau)
-        d = part.e_rot[pp] - part.e_rot[mm]
-        v11, v12, v21, v22 = _block_u(pulse.Omega, d, tau, part.e_rot[mm], part.e_rot[pp])
+        out[s] = amps[s] * np.exp(-1j * e_rot[s] * tau)
+        d = e_rot[pp] - e_rot[mm]
+        v11, v12, v21, v22 = _block_u(pulse.Omega, d, tau, e_rot[mm], e_rot[pp])
         am, ap = amps[mm], amps[pp]
         out[mm] = v11 * am + v12 * ap
         out[pp] = v21 * am + v22 * ap
@@ -169,6 +175,42 @@ def test_ideal_state_holds_one_amplitude_per_pulse_and_matches_all_blocks(L):
         assert np.count_nonzero(new) <= len(prot.pulses) + 1
         ref = _all_blocks_ideal_state(prot).amplitudes
         assert np.max(np.abs(new - ref)) < 1e-15, f"L={L} mirror={mirror}"
+
+
+@pytest.mark.parametrize("L", [19, 20])
+def test_ideal_state_on_its_support_equals_whole_partition_reference(L):
+    # Past the sizes of the live-partition oracle in test_pert: the support
+    # step against the dense step on the whole partition's live blocks,
+    # with every energy read from the whole table.
+    for mirror in (False, True):
+        p = ChainParams(L=L, omega0=100.0 if mirror else 0.0, a=100.0, J=1.945)
+        prot = build_entanglement_protocol(p, 0.118, mirror=mirror)
+        got = build_ideal_state(prot).amplitudes
+        want = propagate_protocol(ground_state(L), prot, partial(reference_ideal_step, p))
+        assert np.array_equal(got, want.amplitudes), f"L={L} mirror={mirror}"
+
+
+def test_ideal_support_step_builds_no_basis_sized_array():
+    # Warm, the walk on its support at L = 20 allocates less than one
+    # 2^20 bool mask, let alone the 16 MB of one 2^20 complex array.
+    p = ChainParams(L=20, a=100.0, J=1.945)
+    prot = build_entanglement_protocol(p, 0.118)
+    ground = SupportState(Support(np.array([0]), np.array([1.0])), p.L)
+    step = partial(fidelity._ideal_step, p)
+    propagate_protocol(ground, prot, step)
+    tracemalloc.start()
+    try:
+        psi = propagate_protocol(ground, prot, step)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    assert len(psi.amplitudes.indices) == len(prot.pulses) + 1
+
+
+def test_block_fidelity_at_L20_keeps_its_bits():
+    rep = protocol_fidelity(ChainParams(L=20, a=100.0, J=1.945), 0.118, "pert", "block")
+    assert rep.f_pert.hex() == "0x1.f7a275e501a7ap-1"
 
 
 def test_ideal_state_rejects_custom_protocols():

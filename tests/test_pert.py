@@ -42,6 +42,7 @@ from isingpulse.pert import (
 from isingpulse.protocol import Protocol
 
 from chain_helpers import (
+    assert_energies_from_table,
     eta_param,
     pair_delta,
     paper_transition,
@@ -262,7 +263,7 @@ def _walk_candidates(J, L, mirror):
         reach = pert_module._reach(p, pu.nu)
         if len(reach) > 1:
             e_rot = rotating_energy_table(p, pu.nu)
-            cands = [pert_module._flip_candidates(e_rot, k, default_threshold(p), np.arange(n))
+            cands = [pert_module._flip_candidates(e_rot, 1 << k, default_threshold(p))
                      for k in reach]
             yield (*(np.concatenate(c) for c in zip(*cands)), e_rot, n)
 
@@ -338,7 +339,8 @@ def _assert_live_blocks_of_whole_partition(pulse, p, live):
     want = (whole.m_idx[pairs], whole.p_idx[pairs], whole.singletons[held[whole.singletons]])
     for g, w in zip((part.m_idx, part.p_idx, part.singletons), want):
         assert g.dtype == w.dtype and np.array_equal(g, w)
-    assert np.array_equal(part.e_rot, whole.e_rot)
+    assert_energies_from_table(part, p, pulse.nu)
+    assert_energies_from_table(whole, p, pulse.nu)
     assert part.n_conflicts == whole.n_conflicts
 
 
@@ -405,11 +407,16 @@ def test_partition_blocks_object_view():
 
 
 def test_partition_stores_pairs_not_detunings():
-    # A pair is two indices into e_rot; its detuning is read off the table.
+    # A pair is two states and their energies, each the rotating table's
+    # entry at its state; its detuning is their difference.
     names = [f.name for f in dataclasses.fields(BlockPartition)]
-    assert names == ["L", "m_idx", "p_idx", "singletons", "e_rot", "n_conflicts"]
-    part = partition_blocks(build_entanglement_protocol(P6, 0.118).pulses[3], P6)
-    assert np.array_equal(pair_delta(part), part.e_rot[part.p_idx] - part.e_rot[part.m_idx])
+    assert names == ["L", "m_idx", "p_idx", "singletons", "e_m", "e_p", "e_single",
+                     "n_conflicts"]
+    pulse = build_entanglement_protocol(P6, 0.118).pulses[3]
+    part = partition_blocks(pulse, P6)
+    assert_energies_from_table(part, P6, pulse.nu)
+    e_rot = rotating_energy_table(P6, pulse.nu)
+    assert np.array_equal(pair_delta(part), e_rot[part.p_idx] - e_rot[part.m_idx])
     assert np.all(np.abs(pair_delta(part)) <= default_threshold(P6))
 
 
@@ -627,12 +634,11 @@ def _closed_form_block_run(prot):
         part = partition_blocks(pulse, p)
         tau = pulse.duration
         m, q, s = part.m_idx, part.p_idx, part.singletons
-        u11, u12, u21, u22 = _block_u(
-            pulse.Omega, pair_delta(part), tau, part.e_rot[m], part.e_rot[q])
+        u11, u12, u21, u22 = _block_u(pulse.Omega, pair_delta(part), tau, part.e_m, part.e_p)
         out = amps.copy()
         out[m] = u11 * amps[m] + u12 * amps[q]
         out[q] = u21 * amps[m] + u22 * amps[q]
-        out[s] = amps[s] * np.exp(-1j * part.e_rot[s] * tau)
+        out[s] = amps[s] * np.exp(-1j * part.e_single * tau)
         return out
 
     return propagate_protocol(ground_state(p.L), prot, step)
@@ -735,6 +741,31 @@ def test_live_partition_states_equal_whole_partition_reference(L, Js):
             assert np.array_equal(got, want.amplitudes), where
 
 
+def test_live_partition_with_one_qubit_in_reach_reads_no_table(monkeypatch):
+    # The block and ideal steps ask for live blocks; with at most one qubit
+    # in reach the partition reads energies at the live states and their
+    # flips alone, for the walk's pulses and for a pulse that pairs nothing.
+    p = ChainParams(L=8, omega0=0.0, a=100.0, J=1.945)
+    prot = build_entanglement_protocol(p, 0.118)
+    far = Pulse(nu=p.omega(p.L - 1) + 10.0 * p.a, Omega=0.118, duration=1.0, t_start=0.0)
+    live = np.array([0, 3, 77, 200])
+    whole = partition_blocks(far, p)
+    want = [run_protocol_pert(ground_state(p.L), prot, "block").amplitudes,
+            build_ideal_state(prot).amplitudes]
+
+    def whole_table(*args):
+        raise AssertionError("a live partition read the whole table")
+
+    monkeypatch.setattr(pert_module, "rotating_energy_table", whole_table)
+    monkeypatch.setattr(pert_module, "rotating_energy_halves", whole_table)
+    got = [run_protocol_pert(ground_state(p.L), prot, "block").amplitudes,
+           build_ideal_state(prot).amplitudes]
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    part = partition_blocks(far, p, live)
+    assert len(part.m_idx) == 0 and np.array_equal(part.singletons, live)
+    assert part.e_single.tobytes() == whole.e_single[live].tobytes()
+
+
 @pytest.mark.parametrize("J, counts", [
     (1.945, (2, 4, 8, 8, 16, 16, 32, 32, 64, 64, 128, 128, 256, 256)),
     (33.4, (2, 3, 4, 5, 7, 8, 11, 12, 16, 17, 22, 23, 29, 30)),
@@ -830,7 +861,7 @@ def test_pt1_degenerate_denominators_are_skipped(caplog):
         want = []
         for pu in prot.pulses:
             *_, n_skip = _reference_pt1_dressing(
-                partition_blocks(pu, p), pu.Omega, 1e-9 * p.a
+                partition_blocks(pu, p), rotating_energy_table(p, pu.nu), pu.Omega, 1e-9 * p.a
             )
             if n_skip:
                 want.append(n_skip)
@@ -847,19 +878,20 @@ def test_pt1_degenerate_denominators_are_skipped(caplog):
 # ------------------------------------------------------ Cayley step
 
 
-def _reference_pt1_dressing(part, Omega, degeneracy_tol):
+def _reference_pt1_dressing(part, e_rot, Omega, degeneracy_tol):
     """The dressing as first written, as sparse matrices: the block
     eigensystem W, the non-resonant coupling V and the triple product
-    W^T V W.  Returns (eps0, eps, W, A, number of skipped terms)."""
+    W^T V W, with the energies read from the whole rotating table
+    ``e_rot``.  Returns (eps0, eps, W, A, number of skipped terms)."""
     n = 1 << part.L
-    eps0 = part.e_rot.copy()
+    eps0 = e_rot.copy()
     rows = [part.singletons]
     cols = [part.singletons]
     vals = [np.ones(len(part.singletons))]
     if len(part.m_idx):
         m, q, d = part.m_idx, part.p_idx, pair_delta(part)
         lam = np.hypot(Omega, d)
-        mean = 0.5 * (part.e_rot[m] + part.e_rot[q])
+        mean = 0.5 * (e_rot[m] + e_rot[q])
         eps0[m] = mean - 0.5 * lam
         eps0[q] = mean + 0.5 * lam
         half = 0.5 * np.arctan2(Omega, d)
@@ -932,7 +964,7 @@ def test_pt1_dressing_matches_sparse_triple_product_reference(L, caplog):
                 with caplog.at_level(logging.ERROR, logger="isingpulse.pert"):
                     eps, c, s, a = _pt1_dressing(part, pu.Omega, tol)
                     eps0_ref, eps_ref, w_ref, a_ref, _ = _reference_pt1_dressing(
-                        part, pu.Omega, tol
+                        part, rotating_energy_table(p, pu.nu), pu.Omega, tol
                     )
                 where = f"L={L} J={J} mirror={mirror}"
                 a = _as_csc(a)
