@@ -127,17 +127,6 @@ def rotating_energies(p: ChainParams, nu: float, states: np.ndarray) -> np.ndarr
     return _static_energy_table(p)[states] + nu * levels
 
 
-def rotating_energy_halves(p: ChainParams, nu: float, bit: int):
-    """The entries of :func:`rotating_energy_table` split by one bit: two
-    (2^L / 2 bit, bit) arrays, those of the states with the bit clear and
-    those of their flips, each in ascending order of state.  The table's
-    own float operations on views of its two cached inputs, so the entries
-    agree bit for bit; the table itself is never built."""
-    e0 = _static_energy_table(p).reshape(-1, 2, bit)
-    sz = total_spin_z(p.L).reshape(-1, 2, bit)
-    return e0[:, 0] + nu * sz[:, 0], e0[:, 1] + nu * sz[:, 1]
-
-
 @dataclass(frozen=True)
 class RotFrameHam:
     """Stationary rotating-frame Hamiltonian of one pulse.

@@ -29,14 +29,15 @@ of the one qubit in reach and reads their energies alone, in O(live): no
 2^L table, mask or scan.  In the selective regime the live set needs no
 sort either, since it is closed under the flips of the qubits the walk
 has reached, and a new qubit's bit is clear in every live state.  A whole
-partition reads the table split by that qubit's bit.  In the selective
-regime the state reaches new basis states only as the walk reaches new
-qubits: at L = 8, J = 1.945 it holds 2, 4, 8, 8, 16, 16, ... 256 nonzero
-amplitudes after successive pulses, so the early pulses of a walk touch a
-small share of the basis.  Each live entry is computed in the expression
-order of the dense form framed on the whole array, so final states equal
-that form's bit for bit, bar the sign of zeros.  The pt1 dressing needs
-every pair, so block+pt1 partitions, rotates and frames the whole basis.
+partition scans the rotating table through a view split by that qubit's
+bit, with no sort.  In the selective regime the state reaches new basis
+states only as the walk reaches new qubits: at L = 8, J = 1.945 it holds
+2, 4, 8, 8, 16, 16, ... 256 nonzero amplitudes after successive pulses,
+so the early pulses of a walk touch a small share of the basis.  Each
+live entry is computed in the expression order of the dense form framed
+on the whole array, so final states equal that form's bit for bit, bar
+the sign of zeros.  The pt1 dressing needs every pair, so block+pt1
+partitions, rotates and frames the whole basis.
 
 The same evolution as closed-form two-level amplitudes,
 
@@ -104,12 +105,7 @@ from .basis import StateVector
 from .exact import _SharedByKey, frame_phase, propagate_protocol, rotating_step
 # Unused frame transforms stay imported: bench/tracing.py patches them here.
 from .exact import from_rotating, to_rotating  # noqa: F401
-from .hamiltonian import (
-    ChainParams,
-    rotating_energies,
-    rotating_energy_halves,
-    rotating_energy_table,
-)
+from .hamiltonian import ChainParams, rotating_energies, rotating_energy_table
 from .protocol import Protocol, Pulse
 
 log = logging.getLogger(__name__)
@@ -265,26 +261,6 @@ def _flip_candidates(e_rot, bit, threshold):
     return lo, lo | bit
 
 
-def _one_qubit_partition(p: ChainParams, nu: float, bit: int, threshold):
-    """The whole partition with one qubit in reach: every state with the
-    bit clear against its flip, read off the rotating energies split by
-    that bit (:func:`rotating_energy_halves`), so the pairs' energies come
-    in pair order and no table, mask or sort is built."""
-    e_m, e_p = rotating_energy_halves(p, nu, bit)
-    d = e_p - e_m
-    keep = np.abs(d, out=d) <= threshold
-    del d
-    m = np.arange(0, 1 << p.L, 2 * bit)[:, None] + np.arange(bit)
-    if keep.all():
-        m, e_m, e_p = m.ravel(), e_m.ravel(), e_p.ravel()
-        singletons, e_single = _NO_STATES, _NO_ENERGIES
-    else:
-        m, e_m, e_p = m[keep], e_m[keep], e_p[keep]
-        singletons = np.flatnonzero(np.stack((~keep, ~keep), axis=1))
-        e_single = rotating_energies(p, nu, singletons)
-    return BlockPartition(p.L, m, m | bit, singletons, e_m, e_p, e_single, 0)
-
-
 def _live_partition(p: ChainParams, nu: float, reach, threshold, states):
     """:func:`partition_blocks` given the live ``states``, with at most one
     qubit in ``reach``, in O(len(states)): no 2^L array, no table.
@@ -348,10 +324,11 @@ def partition_blocks(pulse: Pulse, p: ChainParams, live=None) -> BlockPartition:
     of that qubit, and the candidates form a matching.  Given ``live``,
     the partition then reads rotating energies only at the live states
     and their flips and builds no 2^L array (:func:`_live_partition`);
-    without, it scans the whole table through a reshaped view.  With two
-    or more qubits in reach every state is scanned, and the candidates are
-    matched greedily in order of increasing |detuning|, ties broken by
-    state indices, a state keeping its best partner that is still free
+    without, it scans the whole table through a reshaped view, and its
+    candidates, in ascending m, are the pairs.  With two or more qubits in
+    reach every state is scanned, and the candidates are matched greedily
+    in order of increasing |detuning|, ties broken by state indices, a
+    state keeping its best partner that is still free
     (:func:`_greedy_partition`, in rounds).  Candidates that already form
     a matching (no state in two of them, as in the selective regime) are
     all taken in its first round with ``n_conflicts`` 0.  Otherwise
@@ -367,8 +344,6 @@ def partition_blocks(pulse: Pulse, p: ChainParams, live=None) -> BlockPartition:
     reach = _reach(p, pulse.nu)
     if live is not None and len(reach) < 2:
         return _live_partition(p, pulse.nu, reach, threshold, live)
-    if len(reach) == 1:
-        return _one_qubit_partition(p, pulse.nu, 1 << reach[0], threshold)
     e_rot = rotating_energy_table(p, pulse.nu)
     n = len(e_rot)
     cands = [_flip_candidates(e_rot, 1 << k, threshold) for k in reach]
@@ -376,6 +351,8 @@ def partition_blocks(pulse: Pulse, p: ChainParams, live=None) -> BlockPartition:
     n_conflicts = 0
     if not cands:
         m_idx = p_idx = _NO_STATES
+    elif len(cands) == 1:
+        m_idx, p_idx = cands[0]
     else:
         cand_m, cand_p = (np.concatenate(c) for c in zip(*cands))
         m_idx, p_idx, n_conflicts = _greedy_partition(cand_m, cand_p, e_rot, n)

@@ -177,17 +177,18 @@ def test_ideal_state_holds_one_amplitude_per_pulse_and_matches_all_blocks(L):
         assert np.max(np.abs(new - ref)) < 1e-15, f"L={L} mirror={mirror}"
 
 
-@pytest.mark.parametrize("L", [19, 20])
-def test_ideal_state_on_its_support_equals_whole_partition_reference(L):
+@pytest.mark.parametrize("L, J", [(19, 1.945), (20, 1.945), (19, 33.4)])
+def test_ideal_state_on_its_support_equals_whole_partition_reference(L, J):
     # Past the sizes of the live-partition oracle in test_pert: the support
     # step against the dense step on the whole partition's live blocks,
-    # with every energy read from the whole table.
+    # with every energy read from the whole table.  At J = 33.4 (8J > a)
+    # two qubits are in reach and the step takes the whole-table fallback.
     for mirror in (False, True):
-        p = ChainParams(L=L, omega0=100.0 if mirror else 0.0, a=100.0, J=1.945)
+        p = ChainParams(L=L, omega0=100.0 if mirror else 0.0, a=100.0, J=J)
         prot = build_entanglement_protocol(p, 0.118, mirror=mirror)
         got = build_ideal_state(prot).amplitudes
         want = propagate_protocol(ground_state(L), prot, partial(reference_ideal_step, p))
-        assert np.array_equal(got, want.amplitudes), f"L={L} mirror={mirror}"
+        assert np.array_equal(got, want.amplitudes), f"L={L} J={J} mirror={mirror}"
 
 
 def test_ideal_support_step_builds_no_basis_sized_array():

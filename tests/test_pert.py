@@ -757,7 +757,6 @@ def test_live_partition_with_one_qubit_in_reach_reads_no_table(monkeypatch):
         raise AssertionError("a live partition read the whole table")
 
     monkeypatch.setattr(pert_module, "rotating_energy_table", whole_table)
-    monkeypatch.setattr(pert_module, "rotating_energy_halves", whole_table)
     got = [run_protocol_pert(ground_state(p.L), prot, "block").amplitudes,
            build_ideal_state(prot).amplitudes]
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
