@@ -89,15 +89,6 @@ def spin_z_levels(L: int) -> np.ndarray:
     return levels
 
 
-@lru_cache(maxsize=64)
-def total_spin_z(L: int) -> np.ndarray:
-    """Total spin-z of every basis state, gathered from the L + 1 levels;
-    kept as an array because every rotating energy table multiplies it."""
-    tot = spin_z_levels(L)[excitation_count(L)]
-    tot.setflags(write=False)
-    return tot
-
-
 def _norm(values: np.ndarray) -> float:
     """2-norm of complex values, read as one contiguous float vector: one
     dot product where ``np.linalg.norm`` takes two strided ones.  A NaN
@@ -171,7 +162,8 @@ class SupportState(_Framed):
     """An L-qubit state held as its support, at a given time, tagged with
     its frame as :class:`StateVector` is.
 
-    ``amplitudes`` is a :class:`Support`; every entry it does not list is
+    ``amplitudes`` is a :class:`Support`, its indices integers that
+    ascend strictly within [0, 2^L); every entry it does not list is
     zero.  Nothing here is 2^L long, so a step on this form costs what its
     support costs.
     """
@@ -191,6 +183,12 @@ class SupportState(_Framed):
             )
         if self.L < 1:
             raise ValueError(f"need at least one qubit, got L={self.L}")
+        # A few calls on at most 2L - 1 entries: the driver rebuilds the
+        # state every pulse.
+        if idx.dtype.kind not in "iu" or idx.size and (
+                idx[0] < 0 or idx[-1] >> self.L or np.count_nonzero(idx[1:] <= idx[:-1])):
+            raise ValueError(f"support indices must be integers that ascend strictly "
+                             f"within [0, 2^{self.L}), got {idx}")
         object.__setattr__(self, "amplitudes", Support(idx, vals))
 
     def norm(self) -> float:

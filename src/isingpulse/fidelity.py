@@ -32,7 +32,7 @@ from .errors import FrameError, NumericalError, ProtocolError
 from .exact import frame_phase, propagate_protocol, run_protocol
 # Unused frame transforms stay imported: bench/tracing.py patches them here.
 from .exact import from_rotating, to_rotating  # noqa: F401
-from .pert import ORDER_BLOCK, _block_u, partition_blocks, run_protocol_pert
+from .pert import ORDER_BLOCK, ORDER_BLOCK_PT1, _block_u, partition_blocks, run_protocol_pert
 from .protocol import (
     ENTANGLE_KIND,
     Protocol,
@@ -160,6 +160,8 @@ def protocol_fidelity(
     """Build the walk, run the requested propagator(s), and score the result."""
     if propagator not in ("exact", "pert", "both"):
         raise ValueError(f"unknown propagator {propagator!r}")
+    if order not in (ORDER_BLOCK, ORDER_BLOCK_PT1):
+        raise ValueError(f"unknown order {order!r}")
     # The caps come before costly work: the state-vector cap before the
     # walk compiles, the dense cap (in run_protocol) before the ideal state.
     # Each route gets a fresh ground state: one held across the whole run

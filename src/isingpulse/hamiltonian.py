@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import spin_z_levels, total_spin_z
+from .basis import excitation_count, spin_z_levels
 
 
 @dataclass(frozen=True)
@@ -111,11 +111,14 @@ def rotating_energy_table(p: ChainParams, nu: float) -> np.ndarray:
     """Diagonal of the rotating-frame Hamiltonian for drive frequency nu.
 
     Equals the static diagonal with every w_k replaced by xi_k = w_k - nu,
-    i.e. the lab energies shifted by nu times the total spin-z.  The lab
-    energies are built once per chain and cached read-only, so a call costs
-    one O(2^L) multiply-add; the result is a fresh array.
+    i.e. the lab energies shifted by nu times the total spin-z, gathered
+    from the L + 1 levels by excitation count.  The lab energies are built
+    once per chain and cached read-only, so a call costs one O(2^L) gather
+    and multiply-add; the result is a fresh array.  Reach alone decides
+    whether a partition reads it: only with two or more qubits in reach
+    (:func:`pert.partition_blocks`).
     """
-    return _static_energy_table(p) + nu * total_spin_z(p.L)
+    return _static_energy_table(p) + nu * spin_z_levels(p.L)[excitation_count(p.L)]
 
 
 def rotating_energies(p: ChainParams, nu: float, states: np.ndarray) -> np.ndarray:

@@ -4,40 +4,40 @@ Per pulse the basis is partitioned into pairs connected by a resonant or
 near-resonant single-flip transition (rotating-frame detuning within the
 threshold a/2) and leftover singletons.  A flip of qubit k detunes by
 omega_k - nu give or take 2J from its neighbours, so only the qubits with
-|omega_k - nu| <= a/2 + 2J are scanned, one on a walk pulse while 8J < a;
-the partition then costs O(2^L) and needs no sort.  Pairs come in ascending
-index of their lower state; |detuning| order is used only inside the
-greedy matching of two or more qubits' candidates, built in rounds of
-array operations.  A pair is two basis states and their rotating-frame
-energies, each the rotating energy table's entry at its state, bit for
-bit; a pair's detuning is the difference of the two, formed where it is
-used.  Every consumer gathers and scatters the pairs by index, so their
-order changes no result.  Each pair's 2x2 block is diagonalised in closed form
-by a (c, s) rotation W, applied by gathering the pair's two amplitudes;
-singletons keep their diagonal energy.  The block step is
-W e^{-i eps0 tau} W^T; the pulse loop, with its clock check, lab-frame
-check and norm guard, is the exact propagator's, which hands the step the
-lab amplitudes and the pulse's frame levels.
+|omega_k - nu| <= a/2 + 2J can pair, one on a walk pulse while 8J < a.
+Reach alone picks the partition's path.  With at most one qubit in reach
+each state's one candidate is its flip of that qubit, so the partition
+reads the rotating energies of the states it is given and of their flips,
+and needs no table, mask or scan; a whole partition is that partition of
+every state.  With two or more, the rotating table is scanned for each
+qubit's in-threshold flips, and the candidates are matched greedily in
+order of |detuning|, in rounds of array operations.  Pairs come in
+ascending index of their lower state.  A pair is two basis states and
+their rotating-frame energies, each the rotating energy table's entry at
+its state, bit for bit; a pair's detuning is the difference of the two,
+formed where it is used.  Every consumer gathers and scatters the pairs by
+index, so their order changes no result.  Each pair's 2x2 block is
+diagonalised in closed form by a (c, s) rotation W, applied by gathering
+the pair's two amplitudes; singletons keep their diagonal energy.  The
+block step is W e^{-i eps0 tau} W^T; the pulse loop, with its clock
+check, lab-frame check and norm guard, is the exact propagator's, which
+hands the step the lab amplitudes and the pulse's frame levels.
 
 The block step evaluates that form only on the pairs and singletons that
 hold a nonzero amplitude, and applies the frame phases to those entries
 alone, as it gathers and scatters them; every other entry stays the zero
 that the dense form also gives.  It asks :func:`partition_blocks` for
-just those blocks (the ``live`` argument), as the ideal state does.  On a
-walk pulse the partition then pairs only the live states with their flips
-of the one qubit in reach and reads their energies alone, in O(live): no
-2^L table, mask or scan.  In the selective regime the live set needs no
-sort either, since it is closed under the flips of the qubits the walk
-has reached, and a new qubit's bit is clear in every live state.  A whole
-partition scans the rotating table through a view split by that qubit's
-bit, with no sort.  In the selective regime the state reaches new basis
-states only as the walk reaches new qubits: at L = 8, J = 1.945 it holds
-2, 4, 8, 8, 16, 16, ... 256 nonzero amplitudes after successive pulses,
-so the early pulses of a walk touch a small share of the basis.  Each
-live entry is computed in the expression order of the dense form framed
-on the whole array, so final states equal that form's bit for bit, bar
-the sign of zeros.  The pt1 dressing needs every pair, so block+pt1
-partitions, rotates and frames the whole basis.
+just those blocks (the ``live`` argument), as the ideal state does, so on
+a walk pulse the partition costs O(live).  In the selective regime the
+live set needs no sort, since it is closed under the flips of the qubits
+the walk has reached, and a new qubit's bit is clear in every live state.
+The state reaches new basis states only as the walk reaches new qubits:
+at L = 8, J = 1.945 it holds 2, 4, 8, 8, 16, 16, ... 256 nonzero
+amplitudes after successive pulses, so the early pulses of a walk touch a
+small share of the basis.  Each live entry is computed in the expression
+order of the dense form framed on the whole array, so final states equal
+that form's bit for bit, bar the sign of zeros.  The pt1 dressing needs
+every pair, so block+pt1 partitions, rotates and frames the whole basis.
 
 The same evolution as closed-form two-level amplitudes,
 
@@ -81,9 +81,8 @@ diagonally dominant while ||A/2||_1 < 1, so SuperLU's symmetric mode keeps
 the diagonal pivots; where the 0.1 threshold fails it still pivots off the
 diagonal.  On both walks at a = 100, Omega = 0.118, L = 3..10 and J up to
 a, ||A/2||_1 peaks at 0.709, at the collisions.  At L = 10 this factor
-holds about 223k nonzeros and takes 29-30 ms a pulse, against 600k and
-143-172 ms for a complex factor in SuperLU's default COLAMD column order.
-At L = 6 the whole Cayley step, LU included, takes 0.55 ms a pulse.
+holds about 223k nonzeros and takes 29-30 ms a pulse.  At L = 6 the
+whole Cayley step, LU included, takes 0.55 ms a pulse.
 
 scipy is imported bare: ``scipy.sparse`` and its ``linalg`` load at the
 first pt1 pulse, so the block route never pays for them.  The CSC build
@@ -251,7 +250,9 @@ def _reach(p: ChainParams, nu: float) -> list[int]:
 
 def _flip_candidates(e_rot, bit, threshold):
     """The in-threshold flips of one bit over the whole basis, as (m, p)
-    in ascending m, where m has the bit clear and p = m ^ bit."""
+    in ascending m, where m has the bit clear and p = m ^ bit: the table
+    scan that :func:`partition_blocks` runs only with two or more qubits
+    in reach."""
     # Axis 1 of this view is the bit: [:, 0] holds the states with it
     # clear, in ascending order, and [:, 1] their flip partners.
     e = e_rot.reshape(-1, 2, bit)
@@ -262,16 +263,19 @@ def _flip_candidates(e_rot, bit, threshold):
 
 
 def _live_partition(p: ChainParams, nu: float, reach, threshold, states):
-    """:func:`partition_blocks` given the live ``states``, with at most one
-    qubit in ``reach``, in O(len(states)): no 2^L array, no table.
+    """:func:`partition_blocks` of the ascending ``states`` (every state
+    for a whole partition) with at most one qubit in ``reach``, in
+    O(len(states)): it reads no table and builds no array longer than
+    ``states``.
 
-    Each live state's block is its flip of that qubit, a pair when their
+    Each state's block is its flip of that qubit, a pair when their
     detuning is within ``threshold``; the energies are read only at the
-    live states and the flips they need (:func:`rotating_energies`).  The
+    states and the flips they need (:func:`rotating_energies`).  The
     pairs' m come deduplicated in ascending order without a sort while no
-    live state has the bit set (a pulse on a qubit the state has not
-    reached) or every live state's flip is live too (one the state has
-    reached, in the selective regime); otherwise they are sorted.
+    state has the bit set (a pulse on a qubit the state has not reached)
+    or every state's flip is in ``states`` too (one the state has reached,
+    in the selective regime, and a whole partition); otherwise they are
+    sorted.
     """
     if not reach:
         e_s = rotating_energies(p, nu, states)
@@ -313,63 +317,51 @@ def partition_blocks(pulse: Pulse, p: ChainParams, live=None) -> BlockPartition:
     """Pair every basis state with its closest single-flip partner, or,
     given the ascending states ``live``, return only the blocks that hold
     one of them: the pairs whose m or p is live and the live singletons.
+    A whole partition is the partition of every state live.
 
     Candidate pairs are the single-flip pairs whose rotating-frame detuning
     has magnitude at most :func:`default_threshold` (a/2).  Only the qubits
-    in :func:`_reach` are scanned, one on a walk pulse while 8J < a and
-    none when nu is far from every site frequency, so a whole partition
-    costs O(2^L) and needs no sort.  Pairs come in ascending ``m_idx``.
+    in :func:`_reach` can pair, one on a walk pulse while 8J < a and none
+    when nu is far from every site frequency.  Pairs come in ascending
+    ``m_idx``, and each block carries the energies of its states.
 
-    With one qubit in reach each state has at most one candidate, its flip
-    of that qubit, and the candidates form a matching.  Given ``live``,
-    the partition then reads rotating energies only at the live states
-    and their flips and builds no 2^L array (:func:`_live_partition`);
-    without, it scans the whole table through a reshaped view, and its
-    candidates, in ascending m, are the pairs.  With two or more qubits in
-    reach every state is scanned, and the candidates are matched greedily
-    in order of increasing |detuning|, ties broken by state indices, a
-    state keeping its best partner that is still free
-    (:func:`_greedy_partition`, in rounds).  Candidates that already form
-    a matching (no state in two of them, as in the selective regime) are
-    all taken in its first round with ``n_conflicts`` 0.  Otherwise
-    ``n_conflicts`` counts the in-threshold states that lost their
-    closest candidate and fell through to their next candidate or a
-    singleton.  Flips outside the threshold take no part in that count:
-    they cannot put a state in threshold, nor tie with an in-threshold
-    |detuning|.  The pairs are then sorted by m, and the blocks that hold
-    a live state are kept.  Either way each block carries the energies of
-    its states.
+    Reach alone picks the path.  With at most one qubit in reach each state
+    has at most one candidate, its flip of that qubit, and the candidates
+    form a matching: the partition reads rotating energies only at the
+    states and their flips (:func:`_live_partition`).  With two or more,
+    every state's flips are scanned over the rotating table
+    (:func:`_flip_candidates`) and matched greedily in order of increasing
+    |detuning|, ties broken by state indices, a state keeping its best
+    partner that is still free (:func:`_greedy_partition`, in rounds).
+    Candidates that already form a matching (no state in two of them, as
+    in the selective regime) are all taken in its first round with
+    ``n_conflicts`` 0.  Otherwise ``n_conflicts`` counts the in-threshold
+    states that lost their closest candidate and fell through to their
+    next candidate or a singleton.  Flips outside the threshold take no
+    part in that count: they cannot put a state in threshold, nor tie with
+    an in-threshold |detuning|.  The pairs are then sorted by m, and the
+    blocks that hold a live state are kept.
     """
     threshold = default_threshold(p)
     reach = _reach(p, pulse.nu)
-    if live is not None and len(reach) < 2:
-        return _live_partition(p, pulse.nu, reach, threshold, live)
+    states = np.arange(1 << p.L) if live is None else live
+    if len(reach) < 2:
+        return _live_partition(p, pulse.nu, reach, threshold, states)
     e_rot = rotating_energy_table(p, pulse.nu)
     n = len(e_rot)
     cands = [_flip_candidates(e_rot, 1 << k, threshold) for k in reach]
-
-    n_conflicts = 0
-    if not cands:
-        m_idx = p_idx = _NO_STATES
-    elif len(cands) == 1:
-        m_idx, p_idx = cands[0]
-    else:
-        cand_m, cand_p = (np.concatenate(c) for c in zip(*cands))
-        m_idx, p_idx, n_conflicts = _greedy_partition(cand_m, cand_p, e_rot, n)
-        # A matching holds each m once, so this order is unique.
-        order = np.argsort(m_idx)
-        m_idx, p_idx = m_idx[order], p_idx[order]
-    if 2 * len(m_idx) == n:
-        singletons = _NO_STATES
-    else:
-        taken = np.zeros(n, dtype=bool)
-        taken[m_idx] = taken[p_idx] = True
-        singletons = np.flatnonzero(~taken) if live is None else live[~taken[live]]
-    if live is not None:
-        held = np.zeros(n, dtype=bool)
-        held[live] = True
-        held = held[m_idx] | held[p_idx]
-        m_idx, p_idx = m_idx[held], p_idx[held]
+    cand_m, cand_p = (np.concatenate(c) for c in zip(*cands))
+    m_idx, p_idx, n_conflicts = _greedy_partition(cand_m, cand_p, e_rot, n)
+    # A matching holds each m once, so this order is unique.
+    order = np.argsort(m_idx)
+    m_idx, p_idx = m_idx[order], p_idx[order]
+    taken = np.zeros(n, dtype=bool)
+    taken[m_idx] = taken[p_idx] = True
+    singletons = states[~taken[states]]
+    held = np.zeros(n, dtype=bool)
+    held[states] = True
+    held = held[m_idx] | held[p_idx]
+    m_idx, p_idx = m_idx[held], p_idx[held]
     return BlockPartition(
         L=p.L,
         m_idx=m_idx,

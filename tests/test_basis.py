@@ -16,7 +16,13 @@ from isingpulse import (
     ground_state,
     propagate_pulse,
 )
-from isingpulse.basis import Support, SupportState, clocks_differ, total_spin_z
+from isingpulse.basis import (
+    Support,
+    SupportState,
+    clocks_differ,
+    excitation_count,
+    spin_z_levels,
+)
 from isingpulse.exact import rotating_step
 from isingpulse.protocol import Protocol
 
@@ -172,12 +178,20 @@ def test_support_state_scatters_into_its_state_vector():
         SupportState(Support(np.array([0, 1]), np.array([1.0])), L=3)
     with pytest.raises(ValueError, match="at least one qubit"):
         SupportState(Support(np.array([0]), np.array([1.0])), L=0)
+    # A negative index would wrap onto the end of the dense form, and an
+    # unordered one would be misread by lookups that bisect the support.
+    for bad in ([-1, 3], [3, 1], [1, 1], [0, 4], [0.0, 1.0], [True, False]):
+        with pytest.raises(ValueError, match="support indices"):
+            SupportState(Support(np.array(bad), np.array([0.6, 0.8])), L=2)
+    empty = SupportState(Support(np.empty(0, dtype=np.intp), np.empty(0)), L=2)
+    assert not empty.dense().amplitudes.any() and empty.norm() == 0.0
 
 
 @pytest.mark.parametrize("L", range(1, 7))
 def test_total_spin_z_matches_summed_scalar(L):
-    tot = total_spin_z(L)
-    assert not tot.flags.writeable
+    assert not spin_z_levels(L).flags.writeable
+    assert not excitation_count(L).flags.writeable
+    tot = spin_z_levels(L)[excitation_count(L)]
     for i in range(1 << L):
         s = BasisState(i, L)
         assert tot[i] == sum(spin_z(s, k) for k in range(L))

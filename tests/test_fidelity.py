@@ -339,7 +339,7 @@ def test_report_fields():
 
 
 def _never_called(*args, **kwargs):
-    raise AssertionError("reached past a capacity check")
+    raise AssertionError("reached past an up-front check")
 
 
 @pytest.mark.parametrize("stage, L, propagator", [
@@ -350,6 +350,15 @@ def test_capacity_errors_come_before_costly_work(monkeypatch, stage, L, propagat
     monkeypatch.setattr(fidelity, stage, _never_called)
     with pytest.raises(CapacityError):
         protocol_fidelity(ChainParams(L=L, a=100.0, J=1.0), 0.118, propagator)
+
+
+@pytest.mark.parametrize("propagator", ["exact", "pert", "both"])
+def test_unknown_order_is_rejected_before_any_route_runs(monkeypatch, propagator):
+    for stage in ("build_entanglement_protocol", "run_protocol", "run_protocol_pert",
+                  "build_ideal_state"):
+        monkeypatch.setattr(fidelity, stage, _never_called)
+    with pytest.raises(ValueError, match="unknown order"):
+        protocol_fidelity(P6, 0.118, propagator, order="bogus")
 
 
 def test_pert_fidelity_outside_unit_interval_is_rejected(monkeypatch):

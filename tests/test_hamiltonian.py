@@ -108,9 +108,8 @@ def test_one_static_table_per_protocol_run():
 
 def test_protocol_run_keeps_no_per_qubit_columns():
     # After a run only O(2^L) per-state arrays stay cached (the static
-    # table, the total spin-z and the excitation counts), not L columns.
-    for cached in (_static_energy_table, basis.total_spin_z,
-                   basis.excitation_count, basis.spin_z_levels):
+    # table and the excitation counts), not L columns.
+    for cached in (_static_energy_table, basis.excitation_count, basis.spin_z_levels):
         cached.cache_clear()
     L = 16
     tracemalloc.start()

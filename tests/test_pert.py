@@ -742,27 +742,38 @@ def test_live_partition_states_equal_whole_partition_reference(L, Js):
 
 
 def test_live_partition_with_one_qubit_in_reach_reads_no_table(monkeypatch):
-    # The block and ideal steps ask for live blocks; with at most one qubit
-    # in reach the partition reads energies at the live states and their
-    # flips alone, for the walk's pulses and for a pulse that pairs nothing.
+    # With at most one qubit in reach the partition reads energies at its
+    # states and their flips alone, for the walk's pulses and for a pulse
+    # that pairs nothing: live blocks, and whole partitions as the
+    # partition of every state, which equal the ones built with the table
+    # readable bit for bit.
     p = ChainParams(L=8, omega0=0.0, a=100.0, J=1.945)
     prot = build_entanglement_protocol(p, 0.118)
     far = Pulse(nu=p.omega(p.L - 1) + 10.0 * p.a, Omega=0.118, duration=1.0, t_start=0.0)
     live = np.array([0, 3, 77, 200])
-    whole = partition_blocks(far, p)
+    pulses = [*prot.pulses, far]
+    wholes = [partition_blocks(pu, p) for pu in pulses]
     want = [run_protocol_pert(ground_state(p.L), prot, "block").amplitudes,
             build_ideal_state(prot).amplitudes]
 
     def whole_table(*args):
-        raise AssertionError("a live partition read the whole table")
+        raise AssertionError("a partition with one qubit in reach read the whole table")
 
     monkeypatch.setattr(pert_module, "rotating_energy_table", whole_table)
     got = [run_protocol_pert(ground_state(p.L), prot, "block").amplitudes,
            build_ideal_state(prot).amplitudes]
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    for pu, whole in zip(pulses, wholes):
+        part = partition_blocks(pu, p)
+        for field in dataclasses.fields(part):
+            g, w = getattr(part, field.name), getattr(whole, field.name)
+            if isinstance(g, np.ndarray):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), field.name
+            else:
+                assert g == w, field.name
     part = partition_blocks(far, p, live)
     assert len(part.m_idx) == 0 and np.array_equal(part.singletons, live)
-    assert part.e_single.tobytes() == whole.e_single[live].tobytes()
+    assert part.e_single.tobytes() == wholes[-1].e_single[live].tobytes()
 
 
 @pytest.mark.parametrize("J, counts", [
