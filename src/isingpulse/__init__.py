@@ -20,7 +20,7 @@ from .errors import (
     ProtocolError,
     SpinChainError,
 )
-from .exact import from_rotating, propagate_pulse, run_protocol, to_rotating
+from .exact import propagate_pulse, run_protocol
 from .fidelity import (
     FidelityReport,
     build_ideal_state,
@@ -73,7 +73,6 @@ __all__ = [
     "flip",
     "format_protocol_table",
     "format_state_table",
-    "from_rotating",
     "ground_state",
     "h0_energy_table",
     "partition_blocks",
@@ -82,7 +81,6 @@ __all__ = [
     "run_protocol",
     "run_protocol_pert",
     "spectator_detunings",
-    "to_rotating",
     "two_pi_k_omega",
     "validate_selective",
 ]

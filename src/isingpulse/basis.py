@@ -9,8 +9,9 @@ are cached only as excitation counts and the L + 1 total spin-z levels.
 
 A state is held in one of two forms: :class:`StateVector`, all 2^L
 amplitudes, or :class:`SupportState`, the ascending indices of the entries
-that may be nonzero and their amplitudes.  Both carry a clock and a frame
-tag, and the pulse driver steps either.
+that may be nonzero and their amplitudes.  Either is its amplitudes
+plus a clock, always in the laboratory frame, and
+:func:`exact.propagate_pulse` steps either.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapacityError, FrameError
+from .errors import CapacityError
 
 # State vectors are dense arrays of 2^L complex amplitudes; above this the
 # memory cost stops being desk-scale.
@@ -97,39 +98,16 @@ def _norm(values: np.ndarray) -> float:
     return math.sqrt(x @ x)
 
 
-class _Framed:
-    """The frame tag of a state: ``rot_nu`` is None in the laboratory
-    frame, otherwise the frequency of the rotating frame the amplitudes
-    are expressed in."""
-
-    @property
-    def is_lab(self) -> bool:
-        return self.rot_nu is None
-
-    def require_lab(self):
-        if not self.is_lab:
-            raise FrameError(f"expected lab-frame state, got rotating({self.rot_nu})")
-
-    def require_rotating(self, nu: float):
-        if self.is_lab or self.rot_nu != nu:
-            raise FrameError(
-                f"expected rotating({nu}) state, got "
-                f"{'lab' if self.is_lab else f'rotating({self.rot_nu})'}"
-            )
-
-
 @dataclass(frozen=True)
-class StateVector(_Framed):
-    """2^L complex amplitudes at a given time, tagged with its frame.
+class StateVector:
+    """2^L complex amplitudes at a given time.
 
-    ``rot_nu`` is None in the laboratory frame, otherwise the frequency of
-    the rotating frame the amplitudes are expressed in.  Amplitudes are the
-    full complex coefficients in the fixed global basis.
+    Amplitudes are the full complex coefficients in the fixed global
+    basis, in the laboratory frame.
     """
 
     amplitudes: np.ndarray
     time: float = 0.0
-    rot_nu: float | None = None
     L: int = field(init=False)
 
     def __post_init__(self):
@@ -158,9 +136,9 @@ class Support(NamedTuple):
 
 
 @dataclass(frozen=True)
-class SupportState(_Framed):
-    """An L-qubit state held as its support, at a given time, tagged with
-    its frame as :class:`StateVector` is.
+class SupportState:
+    """An L-qubit state held as its support, at a given time, in the
+    laboratory frame as :class:`StateVector` is.
 
     ``amplitudes`` is a :class:`Support`, its indices integers that
     ascend strictly within [0, 2^L); every entry it does not list is
@@ -171,7 +149,6 @@ class SupportState(_Framed):
     amplitudes: Support
     L: int
     time: float = 0.0
-    rot_nu: float | None = None
 
     def __post_init__(self):
         idx, vals = self.amplitudes
@@ -195,11 +172,11 @@ class SupportState(_Framed):
         return _norm(self.amplitudes.values)
 
     def dense(self) -> StateVector:
-        """The same state as 2^L amplitudes, at the same time and frame."""
+        """The same state as 2^L amplitudes, at the same time."""
         check_state_capacity(self.L)
         amps = np.zeros(1 << self.L, dtype=complex)
         amps[self.amplitudes.indices] = self.amplitudes.values
-        return StateVector(amps, time=self.time, rot_nu=self.rot_nu)
+        return StateVector(amps, time=self.time)
 
 
 def check_state_capacity(L: int) -> None:
@@ -215,7 +192,7 @@ def ground_state(L: int) -> StateVector:
     check_state_capacity(L)
     amps = np.zeros(1 << L, dtype=complex)
     amps[0] = 1.0
-    return StateVector(amps, time=0.0, rot_nu=None)
+    return StateVector(amps, time=0.0)
 
 
 def format_state_table(psi: StateVector) -> str:

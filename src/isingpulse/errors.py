@@ -14,7 +14,7 @@ class CapacityError(SpinChainError):
 
 
 class FrameError(SpinChainError):
-    """State-vector frame or time tag does not match the operation's contract."""
+    """A state's qubit count or clock does not match the operation's contract."""
 
 
 class ProtocolError(SpinChainError):

@@ -22,8 +22,9 @@ route's step, which applies them with :func:`frame_phase` where it
 gathers amplitudes: the block step and the ideal step on the entries that
 hold amplitude, the exact dense step and block+pt1, which need every
 entry, on the whole array through :func:`rotating_step`.  These levels
-are the program's one frame arithmetic; the public :func:`to_rotating`
-and :func:`from_rotating` apply the same levels to a :class:`StateVector`.
+are the program's one frame arithmetic.  A state is its lab-frame
+amplitudes plus a clock: rotating-frame amplitudes live only inside a
+step, so no state can hold them.
 
 scipy is imported bare: its ``linalg`` submodule loads at the first eigh,
 so commands that never take this route (``validate``, ``chaos``, the block
@@ -77,20 +78,19 @@ def frame_phase(values: np.ndarray, counts: np.ndarray, levels: np.ndarray) -> n
     return np.multiply(values, levels[counts])
 
 
-def to_rotating(psi: StateVector, nu: float, t: float) -> StateVector:
-    """Transform a lab-frame state into the frame rotating at nu, at time t."""
-    psi.require_lab()
-    levels = _frame_levels(-1j * nu * t, psi.L)
-    amps = frame_phase(psi.amplitudes, excitation_count(psi.L), levels)
-    return StateVector(amps, time=psi.time, rot_nu=nu)
+# The two array transforms below are called by no route.  They stay
+# because bench/tracing.py patches their names here and in pert and
+# fidelity, and the tests read them as a reference frame transform.
+def to_rotating(amps: np.ndarray, nu: float, t: float) -> np.ndarray:
+    """Lab-frame amplitudes expressed in the frame rotating at nu, at time t."""
+    L = len(amps).bit_length() - 1
+    return frame_phase(amps, excitation_count(L), _frame_levels(-1j * nu * t, L))
 
 
-def from_rotating(psi: StateVector, nu: float, t: float) -> StateVector:
+def from_rotating(amps: np.ndarray, nu: float, t: float) -> np.ndarray:
     """Inverse of :func:`to_rotating` at the same frequency and time."""
-    psi.require_rotating(nu)
-    levels = _frame_levels(1j * nu * t, psi.L)
-    amps = frame_phase(psi.amplitudes, excitation_count(psi.L), levels)
-    return StateVector(amps, time=psi.time, rot_nu=None)
+    L = len(amps).bit_length() - 1
+    return frame_phase(amps, excitation_count(L), _frame_levels(1j * nu * t, L))
 
 
 @dataclass(frozen=True)
@@ -177,18 +177,19 @@ def _dense_step(p: ChainParams, pulses=()):
 
 
 def propagate_pulse(psi, pulse: Pulse, p: ChainParams, step=None):
-    """Evolve a lab-frame state through one pulse.
+    """Evolve a state, its lab-frame amplitudes plus a clock, through one
+    pulse.
 
     ``psi`` is a :class:`StateVector` or a :class:`SupportState`, and the
-    result has its form.  The state must have the chain's qubit count, its
-    clock must sit at the pulse start and it must be in the lab frame;
-    each mismatch raises FrameError.  ``step(amps, pulse, to_rot,
-    to_lab)`` takes the lab amplitudes at the pulse start, in the state's
-    form (``psi.amplitudes``: 2^L entries, or a :class:`Support`), and
-    returns those at its end in the same form, new arrays.  It applies
-    the frame itself: entry s enters the rotating frame as ``amps[s] *
-    to_rot[c]`` and leaves it as ``x * to_lab[c]``, c the excitation count
-    of s (:func:`frame_phase`), where ``to_rot`` and ``to_lab`` hold
+    result has its form.  The state must have the chain's qubit count and
+    its clock must sit at the pulse start; each mismatch raises
+    FrameError.  ``step(amps, pulse, to_rot, to_lab)`` takes the lab
+    amplitudes at the pulse start, in the state's form
+    (``psi.amplitudes``: 2^L entries, or a :class:`Support`), and returns
+    those at its end in the same form, new arrays.  It applies the frame
+    itself: entry s enters the rotating frame as ``amps[s] * to_rot[c]``
+    and leaves it as ``x * to_lab[c]``, c the excitation count of s
+    (:func:`frame_phase`), where ``to_rot`` and ``to_lab`` hold
     exp(-i nu t_start Sz) and exp(+i nu t_end Sz) at the L + 1 levels of
     total spin-z, built here once a pulse.  A step on rotating-frame
     amplitudes goes through :func:`rotating_step`, which applies these
@@ -204,7 +205,6 @@ def propagate_pulse(psi, pulse: Pulse, p: ChainParams, step=None):
         raise FrameError(
             f"state clock {psi.time} does not match pulse start {pulse.t_start}"
         )
-    psi.require_lab()
     to_rot = _frame_levels(-1j * pulse.nu * pulse.t_start, p.L)
     to_lab = _frame_levels(1j * pulse.nu * pulse.t_end, p.L)
     amps = step(psi.amplitudes, pulse, to_rot, to_lab)

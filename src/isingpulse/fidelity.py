@@ -44,11 +44,9 @@ from .hamiltonian import ChainParams, rotating_energies
 
 
 def dynamical_fidelity(psi_i: StateVector, psi_r: StateVector) -> float:
-    """Squared overlap |<i|r>|^2 of two states in the same frame and time."""
+    """Squared overlap |<i|r>|^2 of two lab-frame states at the same time."""
     if psi_i.L != psi_r.L:
         raise FrameError(f"qubit counts differ: {psi_i.L} vs {psi_r.L}")
-    if psi_i.rot_nu != psi_r.rot_nu:
-        raise FrameError(f"frames differ: {psi_i.rot_nu} vs {psi_r.rot_nu}")
     if clocks_differ(psi_i.time, psi_r.time):
         raise FrameError(f"times differ: {psi_i.time} vs {psi_r.time}")
     return float(abs(np.vdot(psi_i.amplitudes, psi_r.amplitudes)) ** 2)

@@ -96,7 +96,6 @@ def test_ground_state_small():
     g2 = ground_state(2)
     assert np.allclose(g2.amplitudes, [1, 0, 0, 0])
     assert g2.time == 0.0
-    assert g2.is_lab
 
 
 @pytest.mark.parametrize("L", [1, 3, 7, 12])
@@ -134,19 +133,6 @@ def test_state_vector_smallest_chain_is_one_qubit():
     assert StateVector(np.array([1.0, 0.0])).L == 1
 
 
-def test_frame_contract_helpers():
-    psi = ground_state(2)
-    psi.require_lab()
-    with pytest.raises(FrameError):
-        psi.require_rotating(1.0)
-    rot = StateVector(psi.amplitudes, time=0.0, rot_nu=2.5)
-    rot.require_rotating(2.5)
-    with pytest.raises(FrameError):
-        rot.require_lab()
-    with pytest.raises(FrameError):
-        rot.require_rotating(2.6)
-
-
 @pytest.mark.parametrize("step", [1, 2], ids=["contiguous", "strided"])
 def test_norm_agrees_with_linalg_norm(step):
     # The norm reads the amplitudes as one float vector; a strided view is
@@ -164,14 +150,11 @@ def test_norm_agrees_with_linalg_norm(step):
 
 
 def test_support_state_scatters_into_its_state_vector():
-    sup = SupportState(Support(np.array([0, 5]), np.array([0.6, 0.8j])), L=3,
-                       time=2.5, rot_nu=1.5)
+    sup = SupportState(Support(np.array([0, 5]), np.array([0.6, 0.8j])), L=3, time=2.5)
     psi = sup.dense()
-    assert psi.L == 3 and psi.time == 2.5 and psi.rot_nu == 1.5
+    assert psi.L == 3 and psi.time == 2.5
     assert np.array_equal(psi.amplitudes, [0.6, 0, 0, 0, 0, 0.8j, 0, 0])
-    assert sup.norm() == pytest.approx(1.0, abs=1e-15) and not sup.is_lab
-    with pytest.raises(FrameError):
-        sup.require_lab()
+    assert sup.norm() == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(CapacityError):
         SupportState(Support(np.array([0]), np.array([1.0])), L=21).dense()
     with pytest.raises(ValueError, match="one length"):

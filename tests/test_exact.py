@@ -18,16 +18,20 @@ from isingpulse import (
     build_entanglement_protocol,
     build_ideal_state,
     flip,
-    from_rotating,
     ground_state,
     propagate_pulse,
     run_protocol,
     run_protocol_pert,
-    to_rotating,
 )
 from isingpulse import exact, fidelity, pert
 from isingpulse.basis import Support, SupportState
-from isingpulse.exact import PulsePropagator, propagate_protocol, rotating_step
+from isingpulse.exact import (
+    PulsePropagator,
+    from_rotating,
+    propagate_protocol,
+    rotating_step,
+    to_rotating,
+)
 from isingpulse.hamiltonian import RotFrameHam
 from isingpulse.pert import _block_step, partition_blocks
 
@@ -49,38 +53,37 @@ def _unitarity_defect(prop, tau, n_samples=8):
 def _random_state(L, rng, t=0.0):
     amps = rng.normal(size=1 << L) + 1j * rng.normal(size=1 << L)
     amps /= np.linalg.norm(amps)
-    return StateVector(amps, time=t, rot_nu=None)
+    return StateVector(amps, time=t)
 
 
 # ------------------------------------------------------ frame transforms
 
 
 def test_to_rotating_identity_at_t0():
-    psi = ground_state(3)
-    rot = to_rotating(psi, 5.0, 0.0)
-    assert np.allclose(rot.amplitudes, psi.amplitudes, atol=1e-15)
-    assert rot.rot_nu == 5.0
+    amps = ground_state(3).amplitudes
+    assert np.allclose(to_rotating(amps, 5.0, 0.0), amps, atol=1e-15)
 
 
 def test_frame_round_trip():
     rng = np.random.default_rng(0)
-    psi = _random_state(4, rng)
-    back = from_rotating(to_rotating(psi, 3.7, 11.3), 3.7, 11.3)
-    assert np.max(np.abs(back.amplitudes - psi.amplitudes)) < 1e-14
-    assert back.is_lab
+    amps = _random_state(4, rng).amplitudes
+    back = from_rotating(to_rotating(amps, 3.7, 11.3), 3.7, 11.3)
+    assert np.max(np.abs(back - amps)) < 1e-14
 
 
 def test_all_ground_frame_phase():
     # |0...0> has total spin-z +L/2, so it picks up exp(-i nu t L/2).
     L, nu, t = 4, 2.0, 0.9
-    rot = to_rotating(ground_state(L), nu, t)
-    assert rot.amplitudes[0] == pytest.approx(np.exp(-1j * nu * t * L / 2), abs=1e-14)
+    rot = to_rotating(ground_state(L).amplitudes, nu, t)
+    assert rot[0] == pytest.approx(np.exp(-1j * nu * t * L / 2), abs=1e-14)
 
 
 @pytest.mark.parametrize("L", [*range(1, 13), 16])
 def test_frame_transforms_match_direct_phases_bit_for_bit(L):
-    # The transforms exponentiate the L + 1 spin-z levels only; every
-    # amplitude must come out as with one exponential per basis state.
+    # The transforms are propagate_pulse's frame arithmetic
+    # (exact.frame_phase on the L + 1 spin-z levels) on a whole array;
+    # every amplitude must come out as with one exponential per basis
+    # state.
     # The references call np.multiply, so that past 2^14 entries numpy
     # cannot evaluate them in place in the temporary, operands swapped.
     rng = np.random.default_rng(L)
@@ -92,21 +95,10 @@ def test_frame_transforms_match_direct_phases_bit_for_bit(L):
     cases += [(float(rng.uniform(-500, 500)), float(rng.uniform(0, 2e3)))
               for _ in range(5)]
     for nu, t in cases:
-        rot = to_rotating(psi, nu, t).amplitudes
+        rot = to_rotating(amps, nu, t)
         assert rot.tobytes() == np.multiply(amps, np.exp(-1j * nu * t * tsz)).tobytes()
-        lab = from_rotating(StateVector(amps, rot_nu=nu), nu, t).amplitudes
+        lab = from_rotating(amps, nu, t)
         assert lab.tobytes() == np.multiply(amps, np.exp(1j * nu * t * tsz)).tobytes()
-
-
-def test_frame_mismatch_raises():
-    psi = ground_state(2)
-    rot = to_rotating(psi, 1.0, 0.0)
-    with pytest.raises(FrameError):
-        to_rotating(rot, 1.0, 0.0)
-    with pytest.raises(FrameError):
-        from_rotating(psi, 1.0, 0.0)
-    with pytest.raises(FrameError):
-        from_rotating(rot, 2.0, 0.0)
 
 
 # ------------------------------------------------------ single pulses
@@ -167,8 +159,8 @@ def test_semigroup_and_energy_conservation():
     h = RotFrameHam(p, nu, Omega).dense()
     energies = []
     for state, t in ((psi0, 0.0), (half1, tau / 2), (full, tau)):
-        rot = to_rotating(state, nu, t)
-        energies.append(np.vdot(rot.amplitudes, h @ rot.amplitudes).real)
+        rot = to_rotating(state.amplitudes, nu, t)
+        energies.append(np.vdot(rot, h @ rot).real)
     assert abs(energies[0] - energies[1]) < 1e-8
     assert abs(energies[1] - energies[2]) < 1e-8
 
@@ -196,13 +188,10 @@ def test_exact_pulse_matches_small_step_integrator(L):
     pu = Pulse(nu=2.0, Omega=0.6, duration=2.5, t_start=0.0)
     out = propagate_pulse(psi, pu, p)
 
-    rot_in = to_rotating(psi, pu.nu, 0.0)
+    rot_in = to_rotating(psi.amplitudes, pu.nu, 0.0)
     h = RotFrameHam(p, pu.nu, pu.Omega).dense()
-    ref_rot = _rk4_reference(rot_in.amplitudes, h, pu.duration)
-    ref = from_rotating(
-        StateVector(ref_rot, time=pu.duration, rot_nu=pu.nu), pu.nu, pu.duration
-    )
-    assert np.max(np.abs(out.amplitudes - ref.amplitudes)) < 1e-6
+    ref = from_rotating(_rk4_reference(rot_in, h, pu.duration), pu.nu, pu.duration)
+    assert np.max(np.abs(out.amplitudes - ref)) < 1e-6
 
 
 def test_propagator_unitarity_defect():
@@ -222,30 +211,10 @@ def test_pulse_clock_contract():
         propagate_pulse(nan_clock, pu, p)
 
 
-@pytest.mark.parametrize(
-    "run",
-    [
-        run_protocol,
-        lambda psi, prot: run_protocol_pert(psi, prot, "block"),
-        lambda psi, prot: run_protocol_pert(psi, prot, "block+pt1"),
-    ],
-    ids=["exact", "block", "block+pt1"],
-)
-def test_state_with_wrong_qubit_count_is_refused(run):
-    # Such a state used to reach the step: a matmul ValueError on the exact
-    # route, an IndexError on both pert routes.
-    prot = build_entanglement_protocol(ChainParams(L=4, a=100.0, J=1.945), 0.118)
-    with pytest.raises(FrameError, match="state has 3 qubits, the chain has 4"):
-        run(ground_state(3), prot)
-
-
 def _on_support(psi):
-    """The same state as a SupportState: its nonzero entries, its clock and
-    its frame."""
+    """The same state as a SupportState: its nonzero entries and its clock."""
     idx = np.flatnonzero(psi.amplitudes)
-    return SupportState(
-        Support(idx, psi.amplitudes[idx]), psi.L, time=psi.time, rot_nu=psi.rot_nu
-    )
+    return SupportState(Support(idx, psi.amplitudes[idx]), psi.L, time=psi.time)
 
 
 ROUTES = {
@@ -259,14 +228,16 @@ ROUTES = {
 
 
 @pytest.mark.parametrize("route", sorted(ROUTES))
-def test_every_route_refuses_a_rotating_state_and_a_stale_or_nan_clock(route):
-    # Each step applies the frame itself, so the driver alone stands
-    # between it and a state that is not in the lab frame at the pulse
-    # start.  The ideal step takes the state on its support.
+def test_every_route_refuses_a_wrong_qubit_count_and_a_stale_or_nan_clock(route):
+    # propagate_pulse alone stands between a step and a state of another
+    # chain or off the pulse start.  A state with the wrong qubit count
+    # used to reach the step: a matmul ValueError on the exact route, an
+    # IndexError on both pert routes.  The ideal step takes the state on
+    # its support.
     prot = build_entanglement_protocol(ChainParams(L=4, a=100.0, J=1.945), 0.118)
     amps = ground_state(4).amplitudes
     for psi, match in (
-        (StateVector(amps, rot_nu=prot.pulses[0].nu), "expected lab-frame state"),
+        (ground_state(3), "state has 3 qubits, the chain has 4"),
         (StateVector(amps, time=prot.pulses[1].t_start), "does not match pulse start"),
         (StateVector(amps, time=math.nan), "state clock nan"),
     ):
@@ -414,7 +385,6 @@ def test_protocol_run_preserves_norm():
     psi = run_protocol(ground_state(6), prot)
     assert abs(psi.norm() - 1.0) < 1e-10
     assert psi.time == pytest.approx(prot.total_time)
-    assert psi.is_lab
 
 
 def test_protocol_is_time_ordered_composition():
@@ -539,12 +509,12 @@ def _reference_step(p):
 
 
 def _expm_reference(psi, prot):
+    amps = psi.amplitudes
     for pu in prot.pulses:
         h = RotFrameHam(prot.params, pu.nu, pu.Omega).dense()
-        rot = to_rotating(psi, pu.nu, pu.t_start).amplitudes
-        out = scipy.linalg.expm(-1j * h * pu.duration) @ rot
-        psi = from_rotating(StateVector(out, time=pu.t_end, rot_nu=pu.nu), pu.nu, pu.t_end)
-    return psi.amplitudes
+        rot = to_rotating(amps, pu.nu, pu.t_start)
+        amps = from_rotating(scipy.linalg.expm(-1j * h * pu.duration) @ rot, pu.nu, pu.t_end)
+    return amps
 
 
 @pytest.mark.parametrize("L", range(4, 10))
