@@ -14,7 +14,8 @@ class CapacityError(SpinChainError):
 
 
 class FrameError(SpinChainError):
-    """A state's qubit count or clock does not match the operation's contract."""
+    """A state's form, qubit count or clock does not match the operation's
+    contract."""
 
 
 class ProtocolError(SpinChainError):

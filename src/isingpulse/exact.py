@@ -40,7 +40,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy
 
-from .basis import NORM_TOL, StateVector, clocks_differ, excitation_count, spin_z_levels
+from .basis import (
+    NORM_TOL,
+    StateVector,
+    SupportState,
+    clocks_differ,
+    excitation_count,
+    spin_z_levels,
+)
 from .errors import CapacityError, FrameError, NumericalError
 from .hamiltonian import ChainParams, RotFrameHam
 from .protocol import Protocol, Pulse
@@ -181,10 +188,12 @@ def propagate_pulse(psi, pulse: Pulse, p: ChainParams, step=None):
     pulse.
 
     ``psi`` is a :class:`StateVector` or a :class:`SupportState`, and the
-    result has its form.  The state must have the chain's qubit count and
-    its clock must sit at the pulse start; each mismatch raises
-    FrameError.  ``step(amps, pulse, to_rot, to_lab)`` takes the lab
-    amplitudes at the pulse start, in the state's form
+    result has its form.  Anything else, such as the bare array of
+    rotating-frame amplitudes that :func:`to_rotating` returns, raises
+    FrameError.  The state must have the chain's qubit count and its clock
+    must sit at the pulse start; each mismatch raises FrameError.
+    ``step(amps, pulse, to_rot, to_lab)`` takes the lab amplitudes at the
+    pulse start, in the state's form
     (``psi.amplitudes``: 2^L entries, or a :class:`Support`), and returns
     those at its end in the same form, new arrays.  It applies the frame
     itself: entry s enters the rotating frame as ``amps[s] * to_rot[c]``
@@ -199,6 +208,11 @@ def propagate_pulse(psi, pulse: Pulse, p: ChainParams, step=None):
     """
     if step is None:
         step = _dense_step(p)
+    if not isinstance(psi, (StateVector, SupportState)):
+        raise FrameError(
+            "expected lab-frame state, a StateVector or a SupportState, "
+            f"got {type(psi).__name__}"
+        )
     if psi.L != p.L:
         raise FrameError(f"state has {psi.L} qubits, the chain has {p.L}")
     if clocks_differ(psi.time, pulse.t_start):

@@ -212,7 +212,10 @@ def test_pulse_clock_contract():
 
 
 def _on_support(psi):
-    """The same state as a SupportState: its nonzero entries and its clock."""
+    """The same state as a SupportState: its nonzero entries and its clock.
+    Anything but a StateVector passes through as it is."""
+    if not isinstance(psi, StateVector):
+        return psi
     idx = np.flatnonzero(psi.amplitudes)
     return SupportState(Support(idx, psi.amplitudes[idx]), psi.L, time=psi.time)
 
@@ -228,16 +231,25 @@ ROUTES = {
 
 
 @pytest.mark.parametrize("route", sorted(ROUTES))
-def test_every_route_refuses_a_wrong_qubit_count_and_a_stale_or_nan_clock(route):
-    # propagate_pulse alone stands between a step and a state of another
-    # chain or off the pulse start.  A state with the wrong qubit count
-    # used to reach the step: a matmul ValueError on the exact route, an
-    # IndexError on both pert routes.  The ideal step takes the state on
-    # its support.
+def test_state_with_wrong_qubit_count_is_refused(route):
+    # Such a state used to reach the step: a matmul ValueError on the exact
+    # route, an IndexError on both pert routes.  The ideal step takes the
+    # state on its support.
+    prot = build_entanglement_protocol(ChainParams(L=4, a=100.0, J=1.945), 0.118)
+    with pytest.raises(FrameError, match="state has 3 qubits, the chain has 4"):
+        ROUTES[route](ground_state(3), prot)
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_every_route_refuses_a_rotating_state_and_a_stale_or_nan_clock(route):
+    # Each step applies the frame itself, so the driver alone stands
+    # between it and a state that is not in the lab frame at the pulse
+    # start.  Rotating-frame amplitudes exist only as the bare array
+    # to_rotating returns, which no route takes for a state.
     prot = build_entanglement_protocol(ChainParams(L=4, a=100.0, J=1.945), 0.118)
     amps = ground_state(4).amplitudes
     for psi, match in (
-        (ground_state(3), "state has 3 qubits, the chain has 4"),
+        (to_rotating(amps, prot.pulses[0].nu, 0.0), "expected lab-frame state"),
         (StateVector(amps, time=prot.pulses[1].t_start), "does not match pulse start"),
         (StateVector(amps, time=math.nan), "state clock nan"),
     ):
