@@ -254,8 +254,6 @@ def _one_blas_thread():
 
 
 def cmd_sweep(args) -> int:
-    if args.param not in ("J", "a", "omega", "L"):
-        raise _UsageError(f"cannot sweep parameter {args.param!r}")
     if args.workers < 1:
         raise _UsageError(f"--workers must be at least 1, got {args.workers}")
     values = _sweep_values(args)

@@ -4,10 +4,10 @@ Within one pulse the rotating-frame Hamiltonian is stationary, so the pulse
 unitary is a single matrix exponential obtained from a full Hermitian
 eigendecomposition (machine-precision unitary), computed by LAPACK's
 divide-and-conquer driver (``evd``).  A run builds one eigensystem per
-distinct ``(nu, Omega)``, the sharing rule of every route: the walk tunes
-each pulse of one transition to the same nu bit for bit, so its 2L - 2
-pulses take L + 1.  Each eigensystem is freed after the last pulse that
-uses it.
+distinct ``(nu, Omega)``, the sharing rule of every route
+(:class:`_SharedByDrive`): the walk tunes each pulse of one transition to
+the same nu bit for bit, so its 2L - 2 pulses take L + 1.  Each
+eigensystem is freed after the last pulse that uses it.
 Between frames the states pick up the diagonal phases
 
     lab -> rotating:   c_s *= exp(-i nu t Sz(s))
@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
+from operator import attrgetter
 
 import numpy as np
 import scipy
@@ -125,20 +126,28 @@ class PulsePropagator:
         return (v @ y.view(float).reshape(-1, 2)).view(complex).ravel()
 
 
-class _SharedByKey:
-    """Values shared by the pulses of one run that have the same key.
+# A pulse's drive, ``(nu, Omega)``: the one key under which every route
+# shares work between pulses.
+_drive = attrgetter("nu", "Omega")
 
-    ``keys`` lists the key of every pulse the run will take a value for.
-    Each value is freed once its key's last listed use has taken it; a key
-    that ``keys`` does not list is freed after its one use.
+
+class _SharedByDrive:
+    """Values shared by the pulses of one run that have the same drive,
+    ``(nu, Omega)`` bit for bit.
+
+    ``pulses`` lists every pulse the run will take a value for.  Each value
+    is freed once the last listed pulse with its drive has taken it; a
+    drive that no listed pulse has is freed after its one use.
     """
 
-    def __init__(self, keys):
-        self._uses = Counter(keys)
+    def __init__(self, pulses):
+        self._uses = Counter(map(_drive, pulses))
         self._held: dict = {}
 
-    def take(self, key, build, *args):
-        """The value held for ``key``, or ``build(*args)`` when none is held."""
+    def take(self, pulse: Pulse, build, *args):
+        """The value held for the drive of ``pulse``, or ``build(*args)``
+        when none is held."""
+        key = _drive(pulse)
         value = self._held.get(key)
         if value is None:
             value = self._held[key] = build(*args)
@@ -170,15 +179,12 @@ def _dense_step(p: ChainParams, pulses=()):
     one step.
     """
     check_dense_capacity(p.L)
-    props = _SharedByKey((pu.nu, pu.Omega) for pu in pulses)
+    props = _SharedByDrive(pulses)
 
     @rotating_step
     def step(amps: np.ndarray, pulse: Pulse) -> np.ndarray:
-        prop = props.take(
-            (pulse.nu, pulse.Omega),
-            lambda: PulsePropagator.build(RotFrameHam(p, pulse.nu, pulse.Omega)),
-        )
-        return prop.apply(amps, pulse.duration)
+        ham = RotFrameHam(p, pulse.nu, pulse.Omega)
+        return props.take(pulse, PulsePropagator.build, ham).apply(amps, pulse.duration)
 
     return step
 

@@ -15,7 +15,7 @@ states that differ by a single spin flip.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -132,30 +132,25 @@ def rotating_energies(p: ChainParams, nu: float, states: np.ndarray) -> np.ndarr
 
 @dataclass(frozen=True)
 class RotFrameHam:
-    """Stationary rotating-frame Hamiltonian of one pulse.
+    """Stationary rotating-frame Hamiltonian of one pulse, held as its
+    chain, drive frequency and Rabi frequency alone.
 
-    Stored as the diagonal (rotating energies) plus the implicit single-flip
-    off-diagonal structure, every element of which is -Omega/2: pulses are
-    real, so the matrix is real symmetric.  Only the dense propagator
-    materializes it.
+    Its diagonal is :func:`rotating_energy_table` at ``nu``, and its
+    off-diagonal elements join the single-flip pairs, every one -Omega/2:
+    pulses are real, so the matrix is real symmetric.  Only the dense
+    propagator materializes it, and :meth:`dense` reads the table there.
     """
 
     params: ChainParams
     nu: float
     Omega: float
-    diagonal: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        diag = rotating_energy_table(self.params, self.nu)
-        diag.setflags(write=False)
-        object.__setattr__(self, "diagonal", diag)
 
     def dense(self) -> np.ndarray:
         """Materialize the full real symmetric matrix."""
         L = self.params.L
         idx = np.arange(1 << L)
         h = np.zeros((idx.size, idx.size))
-        np.fill_diagonal(h, self.diagonal)
+        np.fill_diagonal(h, rotating_energy_table(self.params, self.nu))
         for k in range(L):
             h[idx ^ (1 << k), idx] = -0.5 * self.Omega
         return h

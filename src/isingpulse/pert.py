@@ -64,25 +64,22 @@ matrix products.  M = W^T V W is formed in closed form from the
 single-flip couplings between blocks, column by column, so A needs no
 sort and no summing of duplicates.  The only sparse matrix a pulse builds
 is ``I - A/2``, for its LU.  Couplings between pairs whose mixing angles
-agree cancel exactly, so A carries no rounding residue there.  The
-dressing takes 0.19 ms a pulse at L = 6 and 1.5-1.8 ms at L = 10 (2-core
-host, one BLAS thread).
+agree cancel exactly, so A carries no rounding residue there.
 
 The Cayley factor costs one real sparse LU per distinct ``(nu, Omega)``
-of a run, the exact route's sharing rule: pulses that repeat a drive bit
-for bit share it, and it is freed after the last of them
-(:func:`run_protocol_pert`).  The walk tunes every pulse of one
-transition to the same nu, so its 2L - 2 pulses take L + 1 factors, 11
-for the 18 pulses at L = 10.  ``I - A/2`` is built as real CSC, and
-both complex right-hand sides are solved as one real n x 2 block.  A is
-real antisymmetric, so the factor's pattern is symmetric and is ordered
-by minimum degree on A^T + A.  The factor is column
+of a run, the sharing rule of every route (:class:`exact._SharedByDrive`):
+pulses that repeat a drive bit for bit share it, and it is freed after
+the last of them (:func:`run_protocol_pert`).  The walk tunes every pulse
+of one transition to the same nu, so its 2L - 2 pulses take L + 1
+factors, 11 for the 18 pulses at L = 10.  ``I - A/2`` is built as real
+CSC, and both complex right-hand sides are solved as one real n x 2
+block.  A is real antisymmetric, so the factor's pattern is symmetric and
+is ordered by minimum degree on A^T + A.  The factor is column
 diagonally dominant while ||A/2||_1 < 1, so SuperLU's symmetric mode keeps
 the diagonal pivots; where the 0.1 threshold fails it still pivots off the
 diagonal.  On both walks at a = 100, Omega = 0.118, L = 3..10 and J up to
-a, ||A/2||_1 peaks at 0.709, at the collisions.  At L = 10 this factor
-holds about 223k nonzeros and takes 29-30 ms a pulse.  At L = 6 the
-whole Cayley step, LU included, takes 0.55 ms a pulse.
+a, ||A/2||_1 peaks at 0.709, at the collisions.  The README gives the
+measured cost of the dressing, the factor and the Cayley step.
 
 scipy is imported bare: ``scipy.sparse`` and its ``linalg`` load at the
 first pt1 pulse, so the block route never pays for them.  The CSC build
@@ -101,7 +98,7 @@ import numpy as np
 import scipy
 
 from .basis import StateVector
-from .exact import _SharedByKey, frame_phase, propagate_protocol, rotating_step
+from .exact import _SharedByDrive, frame_phase, propagate_protocol, rotating_step
 # Unused frame transforms stay imported: bench/tracing.py patches them here.
 from .exact import from_rotating, to_rotating  # noqa: F401
 from .hamiltonian import ChainParams, rotating_energies, rotating_energy_table
@@ -548,16 +545,10 @@ def _cayley_factor(a: _Generator):
     n = len(a.indptr) - 1
     # Each column of I - A/2 holds its diagonal 1 first, then -A/2; splu
     # sorts the rows of each column itself.
+    starts = a.indptr[:-1]
+    indices = np.insert(a.indices, starts, np.arange(n, dtype=np.intc))
+    data = np.insert(-0.5 * a.data, starts, 1.0)
     indptr = a.indptr + np.arange(n + 1, dtype=np.intc)
-    first = indptr[:-1]
-    rest = np.ones(indptr[-1], dtype=bool)
-    rest[first] = False
-    indices = np.empty(indptr[-1], dtype=np.intc)
-    indices[first] = np.arange(n)
-    indices[rest] = a.indices
-    data = np.empty(indptr[-1])
-    data[first] = 1.0
-    data[rest] = -0.5 * a.data
     minus = scipy.sparse.csc_matrix((data, indices, indptr), shape=(n, n))
     lu = scipy.sparse.linalg.splu(
         minus,
@@ -607,7 +598,7 @@ def run_protocol_pert(
         raise ValueError(f"unknown order {order!r}")
     p = prot.params
     degeneracy_tol = 1e-9 * max(p.a, 1.0)
-    factors = _SharedByKey((pu.nu, pu.Omega) for pu in prot.pulses)
+    factors = _SharedByDrive(prot.pulses)
 
     def block_step(amps: np.ndarray, pulse: Pulse, to_rot, to_lab) -> np.ndarray:
         part = partition_blocks(pulse, p, np.flatnonzero(amps != 0))
@@ -617,7 +608,7 @@ def run_protocol_pert(
     def pt1_step(amps: np.ndarray, pulse: Pulse) -> np.ndarray:
         part = partition_blocks(pulse, p)
         eps, c, s, a = _pt1_dressing(part, pulse.Omega, degeneracy_tol)
-        factor = partial(factors.take, (pulse.nu, pulse.Omega), _cayley_factor)
+        factor = partial(factors.take, pulse, _cayley_factor)
         out = _apply_pt1(_rotate(part, c, s, amps), eps, pulse.duration, a, factor)
         return _rotate(part, c, -s, out)
 

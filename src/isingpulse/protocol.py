@@ -121,15 +121,12 @@ def check_drive(Omega: float) -> None:
 
 
 def _walk_order(L: int, mirror: bool) -> list[int]:
-    if not mirror:
-        flips = [0, 1]
-        for j in range(2, L):
-            flips += [j, j - 1]
-    else:
-        flips = [L - 1, L - 2]
-        for j in range(L - 3, -1, -1):
-            flips += [j, j + 1]
-    return flips
+    """The qubit each pulse of the walk flips; the mirror walk flips qubit
+    L - 1 - k where the walk from qubit 0 flips k."""
+    flips = [0, 1]
+    for j in range(2, L):
+        flips += [j, j - 1]
+    return [L - 1 - k for k in flips] if mirror else flips
 
 
 def build_entanglement_protocol(

@@ -56,6 +56,39 @@ def full_array_step(step):
     return framed
 
 
+def reference_walk_order(L: int, mirror: bool) -> list[int]:
+    """The qubit each walk pulse flips, with each orientation written out:
+    from qubit 0, flip j then j - 1 for j = 2..L-1 after 0, 1; from qubit
+    L - 1, flip j then j + 1 for j = L-3..0 after L - 1, L - 2."""
+    if not mirror:
+        flips = [0, 1]
+        for j in range(2, L):
+            flips += [j, j - 1]
+    else:
+        flips = [L - 1, L - 2]
+        for j in range(L - 3, -1, -1):
+            flips += [j, j + 1]
+    return flips
+
+
+def reference_cayley_arrays(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The CSC (data, indices, indptr) of I - A/2 for a generator A given
+    as CSC arrays: each column's diagonal 1 first, then its entries of
+    -A/2 in A's order, placed by a mask of the diagonal slots."""
+    n = len(a.indptr) - 1
+    indptr = a.indptr + np.arange(n + 1, dtype=np.intc)
+    first = indptr[:-1]
+    rest = np.ones(indptr[-1], dtype=bool)
+    rest[first] = False
+    indices = np.empty(indptr[-1], dtype=np.intc)
+    indices[first] = np.arange(n)
+    indices[rest] = a.indices
+    data = np.empty(indptr[-1])
+    data[first] = 1.0
+    data[rest] = -0.5 * a.data
+    return data, indices, indptr
+
+
 def single_flip_deltas(s: BasisState, p: ChainParams) -> list[tuple[int, float]]:
     """|E0(flip(s,k)) - E0(s)| for every qubit k, by direct evaluation.
 

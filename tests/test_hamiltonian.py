@@ -241,10 +241,11 @@ def test_rot_ham_single_qubit_matrix():
 def test_rot_ham_xi_exact():
     p = ChainParams(L=4, omega0=1.0, a=2.5, J=0.0)
     ham = _rot_ham(p, nu=3.2, Omega=0.1)
+    diagonal = rotating_energy_table(ham.params, ham.nu)
     for k in range(4):
         assert xi(ham)[k] == p.omega0 + p.a * k - 3.2
         # At J = 0, flipping qubit k alone costs its detuning on the diagonal.
-        gap = ham.diagonal[1 << k] - ham.diagonal[0]
+        gap = diagonal[1 << k] - diagonal[0]
         assert gap == pytest.approx(xi(ham)[k], abs=1e-12)
 
 

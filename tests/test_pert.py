@@ -47,6 +47,7 @@ from chain_helpers import (
     pair_delta,
     paper_transition,
     reference_block_step,
+    reference_cayley_arrays,
     reference_greedy_partition,
     reference_ideal_step,
     resonance_frequency,
@@ -1041,6 +1042,65 @@ def test_cayley_factor_fill_stays_low():
     for _, _, gen in _walk_dressings(10, 1.945, mirror=False):
         _, lu = _cayley_factor(gen)
         assert lu.L.nnz + lu.U.nnz < 400_000
+
+
+def _record_assembly(monkeypatch):
+    """Make ``_cayley_factor`` assemble I - A/2 without factoring it.
+    Returns the list that each assembled (data, indices, indptr) joins."""
+    built = []
+
+    def csc_matrix(arrays, shape):
+        built.append(arrays)
+        return scipy.sparse.csc_matrix(arrays, shape=shape)
+
+    monkeypatch.setattr(pert_module, "scipy", SimpleNamespace(sparse=SimpleNamespace(
+        csc_matrix=csc_matrix, linalg=SimpleNamespace(splu=lambda *args, **kwargs: None),
+    )))
+    return built
+
+
+def _assert_same_arrays(got, want, where):
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype, where
+        assert np.array_equal(g, w), where
+
+
+@pytest.mark.parametrize("L", range(3, 11))
+def test_cayley_assembly_equals_masked_reference(L, monkeypatch):
+    # I - A/2 is assembled by inserting the diagonal ahead of each column;
+    # the reference places it by a mask.  Every distinct drive of both
+    # walks is checked.
+    built = _record_assembly(monkeypatch)
+    for mirror in (False, True):
+        for J in (0.8, 1.945, 19.0, 33.4):
+            drives = set()
+            for p, pu, part in _walk_partitions(L, J, mirror):
+                if (pu.nu, pu.Omega) in drives:
+                    continue
+                drives.add((pu.nu, pu.Omega))
+                gen = _pt1_dressing(part, pu.Omega, 1e-9 * p.a)[3]
+                _cayley_factor(gen)
+                where = f"L={L} J={J} mirror={mirror} nu={pu.nu}"
+                _assert_same_arrays(built.pop(), reference_cayley_arrays(gen), where)
+
+
+def test_cayley_factor_of_generator_with_empty_columns(monkeypatch):
+    # Columns 0 (first), 2 and 3 (middle, side by side) and 5 (last) of A
+    # are empty, so several diagonal entries go in at one position.
+    gen = pert_module._Generator(
+        data=np.array([0.25, -0.5, 0.125]),
+        indices=np.array([3, 0, 1], dtype=np.intc),
+        indptr=np.array([0, 0, 2, 2, 2, 3, 3], dtype=np.intc),
+    )
+    dense = np.eye(6)
+    dense[[3, 0, 1], [1, 1, 4]] -= 0.5 * gen.data
+    minus, lu = _cayley_factor(gen)
+    assert np.array_equal(minus.toarray(), dense)
+    b = np.arange(1.0, 7.0)
+    assert np.allclose(lu.solve(b), np.linalg.solve(dense, b), rtol=0, atol=1e-14)
+    built = _record_assembly(monkeypatch)
+    _cayley_factor(gen)
+    _assert_same_arrays(built.pop(), reference_cayley_arrays(gen), "empty columns")
 
 
 # ------------------------------------------------------ shared Cayley factors

@@ -16,12 +16,13 @@ from isingpulse import (
     two_pi_k_omega,
     validate_selective,
 )
-from isingpulse.protocol import FAKE_WINDOW, Protocol
+from isingpulse.protocol import FAKE_WINDOW, Protocol, _walk_order
 
 from chain_helpers import (
     fake_transitions,
     paper_transition,
     protocol_target_index,
+    reference_walk_order,
     resonance_frequency,
     single_flip_deltas,
 )
@@ -84,6 +85,13 @@ def test_protocol_branch_walk():
     ]
     assert seen == expected
     assert protocol_target_index(prot) == 0b100001  # qubits 0 and 5 excited
+
+
+@pytest.mark.parametrize("mirror", [False, True], ids=["walk", "mirror"])
+def test_walk_order_equals_both_orientations_written_out(mirror):
+    # The compiler derives the mirror walk from the walk from qubit 0.
+    for L in range(3, 41):
+        assert _walk_order(L, mirror) == reference_walk_order(L, mirror), L
 
 
 def test_protocol_frequencies_are_exact_resonances():
