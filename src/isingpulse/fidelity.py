@@ -90,11 +90,11 @@ def _ideal_step(p: ChainParams, amps: Support, pulse: Pulse, to_rot, to_lab) -> 
     v11, v12, v21, v22 = _block_u(pulse.Omega, e_pp - e_mm, tau, e_mm, e_pp)
     am, ap = x[n:]
     y = frame_phase(np.array([v11 * am + v12 * ap, v21 * am + v22 * ap]), counts[n:], to_lab)
-    order = states.argsort(kind="stable")
-    idx, vals = states[order], np.concatenate((out, y))[order]
-    # A state listed twice keeps its second value, the intended pair's.
+    # A state listed twice keeps its second value, the intended pair's:
+    # read backwards, that is the one np.unique finds first.
+    idx, first = np.unique(states[::-1], return_index=True)
+    vals = np.concatenate((out, y))[::-1][first]
     keep = vals != 0
-    keep[:-1] &= idx[:-1] != idx[1:]
     return Support(idx[keep], vals[keep])
 
 

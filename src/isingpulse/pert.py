@@ -110,8 +110,6 @@ ORDER_BLOCK = "block"
 ORDER_BLOCK_PT1 = "block+pt1"
 
 _EPS = np.finfo(float).eps
-_NO_STATES = np.empty(0, dtype=np.intp)
-_NO_ENERGIES = np.empty(0)
 
 
 def default_threshold(p: ChainParams) -> float:
@@ -267,19 +265,16 @@ def _live_partition(p: ChainParams, nu: float, reach, threshold, states):
 
     Each state's block is its flip of that qubit, a pair when their
     detuning is within ``threshold``; the energies are read only at the
-    states and the flips they need (:func:`rotating_energies`).  The
-    pairs' m come deduplicated in ascending order without a sort while no
-    state has the bit set (a pulse on a qubit the state has not reached)
-    or every state's flip is in ``states`` too (one the state has reached,
-    in the selective regime, and a whole partition); otherwise they are
-    sorted.
+    states and the flips they need (:func:`rotating_energies`).  With no
+    qubit in reach, qubit 0 stands in and every state comes out a
+    singleton.  The pairs' m come deduplicated in ascending order without
+    a sort while no state has the bit set (a pulse on a qubit the state
+    has not reached) or every state's flip is in ``states`` too (one the
+    state has reached, in the selective regime, and a whole partition);
+    otherwise ``np.unique`` merges them.
     """
-    if not reach:
-        e_s = rotating_energies(p, nu, states)
-        return BlockPartition(
-            p.L, _NO_STATES, _NO_STATES, states, _NO_ENERGIES, _NO_ENERGIES, e_s, 0
-        )
-    bit = 1 << reach[0]
+    # Out of reach, every flip detunes by more than a/2 + slack: none pairs.
+    bit = 1 << (reach[0] if reach else 0)
     m = states & ~bit
     up = m != states
     n_up = np.count_nonzero(up)
@@ -303,9 +298,8 @@ def _live_partition(p: ChainParams, nu: float, reach, threshold, states):
         ok = np.abs(e_p - e_m) <= threshold
         single = ~ok
         e_s = np.where(up, e_p, e_m)
-        order = m.argsort(kind="stable")
-        m, e_m, e_p, ok = m[order], e_m[order], e_p[order], ok[order]
-        ok[1:] &= m[1:] != m[:-1]
+        m, first = np.unique(m, return_index=True)
+        e_m, e_p, ok = e_m[first], e_p[first], ok[first]
     m = m[ok]
     return BlockPartition(p.L, m, m | bit, states[single], e_m[ok], e_p[ok], e_s[single], 0)
 
@@ -323,9 +317,10 @@ def partition_blocks(pulse: Pulse, p: ChainParams, live=None) -> BlockPartition:
     ``m_idx``, and each block carries the energies of its states.
 
     Reach alone picks the path.  With at most one qubit in reach each state
-    has at most one candidate, its flip of that qubit, and the candidates
-    form a matching: the partition reads rotating energies only at the
-    states and their flips (:func:`_live_partition`).  With two or more,
+    has at most one candidate, its flip of that qubit (with none, of a
+    stand-in qubit, never in threshold), and the candidates form a
+    matching: the partition reads rotating energies only at the states
+    and their flips (:func:`_live_partition`).  With two or more,
     every state's flips are scanned over the rotating table
     (:func:`_flip_candidates`) and matched greedily in order of increasing
     |detuning|, ties broken by state indices, a state keeping its best
@@ -336,8 +331,10 @@ def partition_blocks(pulse: Pulse, p: ChainParams, live=None) -> BlockPartition:
     states that lost their closest candidate and fell through to their
     next candidate or a singleton.  Flips outside the threshold take no
     part in that count: they cannot put a state in threshold, nor tie with
-    an in-threshold |detuning|.  The pairs are then sorted by m, and the
-    blocks that hold a live state are kept.
+    an in-threshold |detuning|.  The matching then becomes a partner map,
+    each state's partner or itself for a singleton, and the live states'
+    entries give the live singletons and, in ascending m, the pairs that
+    hold a live state.
     """
     threshold = default_threshold(p)
     reach = _reach(p, pulse.nu)
@@ -349,16 +346,12 @@ def partition_blocks(pulse: Pulse, p: ChainParams, live=None) -> BlockPartition:
     cands = [_flip_candidates(e_rot, 1 << k, threshold) for k in reach]
     cand_m, cand_p = (np.concatenate(c) for c in zip(*cands))
     m_idx, p_idx, n_conflicts = _greedy_partition(cand_m, cand_p, e_rot, n)
-    # A matching holds each m once, so this order is unique.
-    order = np.argsort(m_idx)
-    m_idx, p_idx = m_idx[order], p_idx[order]
-    taken = np.zeros(n, dtype=bool)
-    taken[m_idx] = taken[p_idx] = True
-    singletons = states[~taken[states]]
-    held = np.zeros(n, dtype=bool)
-    held[states] = True
-    held = held[m_idx] | held[p_idx]
-    m_idx, p_idx = m_idx[held], p_idx[held]
+    partner = np.arange(n)
+    partner[m_idx], partner[p_idx] = p_idx, m_idx
+    mine = partner[states]
+    singletons = states[mine == states]
+    m_idx = np.unique(np.minimum(states, mine)[mine != states])
+    p_idx = partner[m_idx]
     return BlockPartition(
         L=p.L,
         m_idx=m_idx,

@@ -409,6 +409,15 @@ def test_chaos_command(tmp_path):
     assert "no chaos" in text
 
 
+def test_chaos_command_above_the_border(tmp_path):
+    out = tmp_path / "chaos.txt"
+    assert run_cli(
+        "chaos", "--L", "6", "--J", "1", "--a", "100", "--omega", "200",
+        "--out", str(out),
+    ) == EXIT_OK
+    assert read(out).splitlines()[-1] == "verdict: drive above border"
+
+
 def test_validate_command(tmp_path):
     assert run_cli(
         "validate", "--L", "6", "--J", "1", "--a", "100", "--omega", "0.118",
@@ -419,6 +428,15 @@ def test_validate_command(tmp_path):
         "validate", "--L", "6", "--J", "1", "--a", "100", "--omega", "100",
         "--strict", "--out", str(tmp_path / "v2.txt"),
     ) == EXIT_VALIDATION
+
+
+def test_validate_reports_fake_transition_proximity(tmp_path):
+    # J = 33.5 is within 0.5% of the a/3 collision; --strict fails on it.
+    argv = ("validate", "--L", "6", "--J", "33.5", "--a", "100", "--omega", "0.118")
+    out = tmp_path / "v.txt"
+    assert run_cli(*argv, "--out", str(out)) == EXIT_OK
+    assert "fake-transition proximity: J within 0.50% of 33.3333\n" in read(out)
+    assert run_cli(*argv, "--strict", "--out", str(out)) == EXIT_VALIDATION
 
 
 def test_protocol_dump_command(tmp_path):
@@ -443,6 +461,14 @@ def test_config_file_with_cli_override(tmp_path):
         "run", "--config", str(cfg), "--J", "3.0", "--out", str(out2)
     ) == EXIT_OK
     assert "J = 3" in read(out2)  # flag beats config
+
+
+def test_config_file_skips_blank_and_comment_lines(tmp_path):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("# chain\n\nL = 4\n   \n  # J = 9\nJ = 2.0\n")
+    out = tmp_path / "o.txt"
+    assert run_cli("run", "--config", str(cfg), "--out", str(out)) == EXIT_OK
+    assert "L = 4" in read(out) and "J = 2" in read(out)
 
 
 def test_config_file_bad_key(tmp_path):
@@ -644,6 +670,7 @@ def test_cold_start_loads_no_scipy_linalg_sparse_or_process_pool(argv):
     ("sweep", "--L", "4", "--param", "J", "--values", "2,nan,1"),
     ("sweep", "--param", "J", "--values", ",", "--L", "4"),
     ("sweep", "--param", "J", "--from", "2", "--to", "2", "--steps", "0", "--L", "4"),
+    ("sweep", "--param", "J", "--from", "1", "--to", "2", "--steps", "1", "--L", "4"),
     ("validate", "--omega", "-1"),
     ("validate", "--omega", "0", "--strict"),
     ("chaos", "--omega", "0"),
@@ -652,8 +679,9 @@ def test_cold_start_loads_no_scipy_linalg_sparse_or_process_pool(argv):
 ], ids=["run-omega-0", "slope-a-negative", "dump-omega-negative",
         "sweep-steps-negative", "missing-config", "missing-out-dir",
         "sweep-workers-0", "sweep-values-nan", "sweep-values-empty",
-        "sweep-steps-0", "validate-omega-negative", "validate-omega-0-strict",
-        "chaos-omega-0", "chaos-omega-negative", "chaos-omega-nan"])
+        "sweep-steps-0", "sweep-range-steps-1", "validate-omega-negative",
+        "validate-omega-0-strict", "chaos-omega-0", "chaos-omega-negative",
+        "chaos-omega-nan"])
 def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, argv):
     argv = [arg.format(missing=tmp_path / "missing") for arg in argv]
     assert run_cli(*argv) == EXIT_USAGE

@@ -358,6 +358,14 @@ def test_unknown_order_is_rejected_before_any_route_runs(monkeypatch, propagator
         protocol_fidelity(P6, 0.118, propagator, order="bogus")
 
 
+def test_unknown_propagator_is_rejected_before_any_route_runs(monkeypatch):
+    for stage in ("build_entanglement_protocol", "run_protocol", "run_protocol_pert",
+                  "build_ideal_state"):
+        monkeypatch.setattr(fidelity, stage, _never_called)
+    with pytest.raises(ValueError, match="unknown propagator 'bogus'"):
+        protocol_fidelity(P6, 0.118, "bogus")
+
+
 def test_pert_fidelity_outside_unit_interval_is_rejected(monkeypatch):
     # The same guard as on f_exact: a pert state whose norm grew reads a
     # fidelity above 1, and that is an error, not a printed number.

@@ -358,6 +358,13 @@ def test_chain_params_validation():
         ChainParams(L=0, a=1.0)
 
 
+@pytest.mark.parametrize("k", [-1, 6])
+def test_site_frequency_outside_the_chain_is_rejected(k):
+    p = ChainParams(L=6, omega0=0.0, a=100.0, J=1.0)
+    with pytest.raises(ValueError, match=rf"^site index {k} outside \[0, 6\)"):
+        p.omega(k)
+
+
 @pytest.mark.parametrize("L", [4.5, math.inf, math.nan, "5", None])
 def test_chain_params_reject_non_integer_lengths(L):
     # The length is checked first: J = nan is not what fails here.

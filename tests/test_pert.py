@@ -44,6 +44,7 @@ from isingpulse.protocol import Protocol
 from chain_helpers import (
     assert_energies_from_table,
     eta_param,
+    live_blocks,
     pair_delta,
     paper_transition,
     reference_block_step,
@@ -501,6 +502,16 @@ def test_epsilon_weak_drive_bound():
     assert eps <= (Om / (2 * J)) ** 2 + 1e-15
 
 
+def test_epsilon_rejects_a_negative_pulse_length():
+    with pytest.raises(ValueError, match="pulse length must be >= 0"):
+        epsilon_param(0.1, 0.0, -1.0)
+
+
+def test_epsilon_of_an_undriven_resonant_pair_is_zero():
+    # Omega = Delta = 0: the closed form's 0/0 is the zero of no drive.
+    assert epsilon_param(0.0, 0.0, 3.0) == 0.0
+
+
 def test_eta_value():
     # Omega = 0.118, a = 100: (0.118^2) / (4 * 100^2) = 3.481e-7
     assert eta_param(0.118, 100.0) == pytest.approx(3.481e-7, rel=1e-4)
@@ -526,6 +537,12 @@ def test_first_pulse_only_gives_equal_superposition():
     assert probs[0] == pytest.approx(0.5, abs=1e-12)
     assert probs[1] == pytest.approx(0.5, abs=1e-12)
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_pert_route_rejects_an_unknown_order():
+    prot = build_entanglement_protocol(P6, 0.118)
+    with pytest.raises(ValueError, match="unknown order 'pt2'"):
+        run_protocol_pert(ground_state(P6.L), prot, "pt2")
 
 
 def test_pert_route_checks_the_state_clock():
@@ -775,6 +792,103 @@ def test_live_partition_with_one_qubit_in_reach_reads_no_table(monkeypatch):
     part = partition_blocks(far, p, live)
     assert len(part.m_idx) == 0 and np.array_equal(part.singletons, live)
     assert part.e_single.tobytes() == wholes[-1].e_single[live].tobytes()
+
+
+def _assert_same_partition(got, want):
+    """Every field equal, arrays with equal dtype and bytes."""
+    for field in dataclasses.fields(BlockPartition):
+        g, w = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(w, np.ndarray):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), field.name
+        else:
+            assert g == w, field.name
+
+
+def _all_singletons(p, nu, states):
+    """The partition of ``states`` that pairs nothing: each one a
+    singleton with its rotating table entry."""
+    none = np.empty(0, dtype=np.intp)
+    e_rot = rotating_energy_table(p, nu)
+    return BlockPartition(p.L, none, none, states, np.empty(0), np.empty(0),
+                          e_rot[states], 0)
+
+
+def _just_out_of_reach(p, k, side):
+    """The float nu nearest site k on ``side`` (-1 or +1) that has no qubit
+    in reach, found by bisection; k is an end qubit, on its outer side."""
+    inside = p.omega(k)
+    outside = inside + side * (default_threshold(p) + 2.0 * p.J + 1e-6 * abs(inside) + 1.0)
+    assert not pert_module._reach(p, outside)
+    while (mid := 0.5 * (inside + outside)) not in (inside, outside):
+        if pert_module._reach(p, mid):
+            inside = mid
+        else:
+            outside = mid
+    return outside
+
+
+@pytest.mark.parametrize("omega0, a, J", [
+    (0.0, 100.0, 0.3), (0.0, 100.0, 1.945), (0.0, 100.0, 24.9),
+    (100.0, 100.0, 1.945), (1e12, 1.0, 0.3), (1e15, 1.0, 0.3),
+])
+@pytest.mark.parametrize("L", [3, 6, 9])
+def test_partition_with_no_qubit_in_reach_is_all_singletons(L, omega0, a, J):
+    # A pulse with no qubit in reach pairs its states with their flips of
+    # a stand-in qubit, which pairs nothing: at the first float outside
+    # the reach bound of either end qubit, where at omega0 >> a only the
+    # bound's rounding slack keeps the flip out of threshold, and beyond
+    # every site frequency.  Live sets with the stand-in bit clear
+    # everywhere, closed under its flip, mixed, one state, none and all.
+    p = ChainParams(L=L, omega0=omega0, a=a, J=J)
+    n = 1 << L
+    lo, hi = _just_out_of_reach(p, 0, -1.0), _just_out_of_reach(p, L - 1, 1.0)
+    nus = [lo, hi, lo - 10.0 * a, hi + 10.0 * a]
+    nus += [pu.nu for pu in _reach_pulses(p) if not pert_module._reach(p, pu.nu)]
+    rng = np.random.default_rng(L)
+    live_sets = [np.arange(0, n, 2), np.array([0, 1, n - 2, n - 1]),
+                 np.flatnonzero(rng.random(n) < 0.4), np.array([n - 1]),
+                 np.empty(0, dtype=np.intp), np.arange(n)]
+    for nu in nus:
+        pu = Pulse(nu=nu, Omega=0.118, duration=1.0, t_start=0.0)
+        _assert_same_partition(partition_blocks(pu, p),
+                               _all_singletons(p, nu, np.arange(n)))
+        for live in live_sets:
+            _assert_same_partition(partition_blocks(pu, p, live),
+                                   _all_singletons(p, nu, live))
+
+
+@pytest.mark.parametrize("L", range(8, 13))
+def test_matcher_live_blocks_equal_whole_partition_blocks(L):
+    # With two or more qubits in reach the live blocks are read from the
+    # matching's partner map.  A live set may hold both states of a pair,
+    # its m or its p only, and singletons; each must come out as the
+    # block of the whole partition, built by the reference greedy loop.
+    rng = np.random.default_rng(L)
+    kinds = np.zeros(4, dtype=int)
+    n_pulses = 0
+    for mirror in (False, True):
+        for J in (24.9, 33.4):
+            p = ChainParams(L=L, omega0=100.0 if mirror else 0.0, a=100.0, J=J)
+            for pu in build_entanglement_protocol(p, 0.118, mirror=mirror).pulses:
+                if len(pert_module._reach(p, pu.nu)) < 2:
+                    continue
+                n_pulses += 1
+                m, q, _, s, n_conflicts = _reference_partition(pu, p)
+                e_rot = rotating_energy_table(p, pu.nu)
+                whole = BlockPartition(L, m, q, s, e_rot[m], e_rot[q], e_rot[s], n_conflicts)
+                # 0: pair not live, 1: both states, 2: m only, 3: p only.
+                kind = rng.integers(4, size=len(whole.m_idx))
+                kinds += np.bincount(kind, minlength=4)
+                single = whole.singletons[rng.random(len(whole.singletons)) < 0.3]
+                kinds[0] += len(single)
+                amps = np.zeros(1 << L)
+                amps[whole.m_idx[(kind == 1) | (kind == 2)]] = 1.0
+                amps[whole.p_idx[(kind == 1) | (kind == 3)]] = 1.0
+                amps[single] = 1.0
+                live = np.flatnonzero(amps)
+                _assert_same_partition(partition_blocks(pu, p, live),
+                                       live_blocks(whole, amps))
+    assert n_pulses >= 4 and np.all(kinds[1:] > 0)
 
 
 @pytest.mark.parametrize("J, counts", [

@@ -160,6 +160,12 @@ def test_pulse_rejects_non_finite_fields(field, value):
         Pulse(**fields)
 
 
+@pytest.mark.parametrize("duration", [0.0, -1.0])
+def test_pulse_rejects_a_duration_that_is_not_positive(duration):
+    with pytest.raises(ValueError, match="^pulse duration must be positive"):
+        Pulse(nu=1.0, Omega=0.1, duration=duration, t_start=0.0)
+
+
 def test_protocol_rejects_non_contiguous_pulses():
     pu1 = Pulse(nu=1.0, Omega=0.1, duration=1.0, t_start=0.0)
     pu2 = Pulse(nu=1.0, Omega=0.1, duration=1.0, t_start=1.5)
@@ -199,6 +205,13 @@ def test_leakage_vanishes_at_full_cycle_drive():
 
 
 # ------------------------------------------------------ regime validator
+
+
+def test_spectator_detunings_need_target_annotations():
+    pulses = (Pulse(nu=1.0, Omega=0.1, duration=1.0, t_start=0.0),
+              Pulse(nu=1.0, Omega=0.1, duration=1.0, t_start=1.0))
+    with pytest.raises(ProtocolError, match="need target annotations"):
+        spectator_detunings(Protocol(pulses=pulses, params=P6))
 
 
 def test_validate_selective_reference_point_passes():
@@ -277,3 +290,9 @@ def test_protocol_table_roundtrip_fields():
     row3 = lines[4].split()
     assert row3[5] == "111000"  # qubits 0,1,2 excited, qubit 0 leftmost
     assert row3[6] == "1"
+
+
+def test_protocol_table_marks_a_hand_built_pulse_with_dashes():
+    pulse = Pulse(nu=2.5, Omega=0.1, duration=4.0, t_start=0.0)
+    text = format_protocol_table(Protocol(pulses=(pulse,), params=P6))
+    assert text.splitlines()[1] == "0 2.5 0.10000000000000001 4 0 - -"
